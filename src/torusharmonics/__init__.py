@@ -1,6 +1,6 @@
 """Harmonic-analysis operators on the discretized torus.
 
-Grid functions on T and T^2, dyadic geometry, frequency-side partitions of
+Grid functions on T, T^2 and T^3, dyadic geometry, frequency-side partitions of
 unity and adapted families, maximal operators and Calderon-Zygmund
 decompositions, Littlewood-Paley square functions and paraproducts,
 multiplier operators, exact rearrangement/Zygmund norms, and an empirical

@@ -38,6 +38,7 @@ from .squares import EpsilonSequence, hybrid, square_function
 from .suite import run_suite
 
 CONFIG_ENV = "TORUSHARMONICS_CONFIG"
+MAXIMAL_KINDS = ("hl", "dyadic", "shifted", "shifted_sup", "strong", "directional")
 
 
 def _add_io_arguments(parser, inputs=1):
@@ -69,7 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile")
 
     p = sub.add_parser("maximal", help="maximal functions")
-    p.add_argument("--kind", default="hl")
+    p.add_argument(
+        "--kind",
+        default="hl",
+        type=_maximal_kind,
+        help="hl | dyadic | shifted[:n] | shifted_sup[:n] | strong | directional",
+    )
     _add_io_arguments(p)
 
     p = sub.add_parser("cz", help="Calderon-Zygmund decomposition")
@@ -122,6 +128,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out", dest="out_dir")
     return parser
+
+
+def _maximal_kind(text: str) -> tuple[str, int]:
+    """Parse --kind into (kind, n); only the shifted kinds take ':n'."""
+    kind, sep, num = text.partition(":")
+    if kind in MAXIMAL_KINDS and not sep:
+        return kind, 0
+    if kind in ("shifted", "shifted_sup") and num.lstrip("-").isdigit():
+        return kind, int(num)
+    raise argparse.ArgumentTypeError(
+        f"invalid kind {text!r}; expected hl, dyadic, shifted[:n], "
+        "shifted_sup[:n], strong or directional"
+    )
 
 
 def _read_input(args, attr="infile"):
@@ -199,7 +218,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(config_path, overrides)
         return _dispatch(args, config)
-    except (FileFormatError, ValueError) as exc:
+    except (FileFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -220,10 +239,7 @@ def _dispatch(args, config: RunConfig) -> int:
 
     if args.command == "maximal":
         f = _read_input(args)
-        kind, n = (args.kind, 0)
-        if ":" in kind:
-            kind, _, num = kind.partition(":")
-            n = int(num)
+        kind, n = args.kind
         out = maximal(f, kind=kind, n=n)
         _write_output(out, args, config)
         print(f"max value {np.abs(out.values).max():.6g}")

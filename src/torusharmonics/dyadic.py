@@ -64,12 +64,6 @@ class DyadicInterval:
             raise ValueError(f"enlargement {j} must be in [1, {self.level - 1}]")
         return DyadicInterval(self.level - j, self.index >> j)
 
-    def children(self) -> tuple["DyadicInterval", "DyadicInterval"]:
-        return (
-            DyadicInterval(self.level + 1, 2 * self.index),
-            DyadicInterval(self.level + 1, 2 * self.index + 1),
-        )
-
     def shift(self, n: int) -> "DyadicInterval":
         """I^n = I + n|I|, reduced mod 1 (again dyadic at the same level)."""
         return DyadicInterval(self.level, (self.index + n) % 2**self.level)
@@ -153,13 +147,6 @@ class TorusInterval:
     def shift(self, n: int, alpha: float = 0.0) -> "TorusInterval":
         """I + (n + alpha)|I| with endpoints reduced mod 1."""
         return TorusInterval(self.left + (n + alpha) * self.length, self.length)
-
-    def dist_to_point(self, x: float) -> float:
-        rel = (float(x) - self.left) % 1.0
-        if self.is_full or rel < self.length:
-            return 0.0
-        # distance to the nearer endpoint, around the circle
-        return min(rel - self.length, 1.0 - rel)
 
 
 def dist_intervals(a, b) -> float:

@@ -1,6 +1,6 @@
 """Uniform dyadic grids on the torus and the discrete Fourier layer.
 
-A function on T or T^2 is represented by its complex samples on a uniform
+A function on T, T^2 or T^3 is represented by its complex samples on a uniform
 grid of N = 2^L points per axis, with points x_j = j/N.  Integrals over the
 torus are grid means (left-endpoint rule), which is exact for band-limited
 integrands and consistent with the DFT normalization used throughout:
@@ -22,8 +22,8 @@ MAX_LOG_SIZE = 13
 
 
 def _check_log_sizes(log_sizes):
-    if len(log_sizes) not in (1, 2):
-        raise ValueError(f"only 1D and 2D grids are supported, got {len(log_sizes)} axes")
+    if len(log_sizes) not in (1, 2, 3):
+        raise ValueError(f"only 1D, 2D and 3D grids are supported, got {len(log_sizes)} axes")
     for L in log_sizes:
         if not (MIN_LOG_SIZE <= int(L) <= MAX_LOG_SIZE):
             raise ValueError(f"log size {L} outside [{MIN_LOG_SIZE}, {MAX_LOG_SIZE}]")
@@ -32,9 +32,9 @@ def _check_log_sizes(log_sizes):
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples of a function on a uniform dyadic grid of T or T^2.
+    """Complex samples of a function on a uniform dyadic grid of T^d, d <= 3.
 
-    ``values`` has shape ``(2**L,)`` in 1D or ``(2**L1, 2**L2)`` in 2D
+    ``values`` has shape ``(2**L1, ..., 2**Ld)``, one axis per log size
     (row-major axis order).  Instances are immutable; all operations return
     new objects.
     """
@@ -59,14 +59,6 @@ class GridFunction:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(2**L for L in self.log_sizes)
-
-    @property
-    def cell_measure(self) -> float:
-        return 1.0 / float(np.prod(self.sizes))
-
-    def axis_points(self, axis: int = 0) -> np.ndarray:
-        n = self.sizes[axis]
-        return np.arange(n) / n
 
     def map(self, func) -> "GridFunction":
         return GridFunction(self.log_sizes, func(self.values))
@@ -93,12 +85,8 @@ class GridFunction:
     @staticmethod
     def from_callable(func, log_sizes) -> "GridFunction":
         log_sizes = _check_log_sizes(log_sizes)
-        if len(log_sizes) == 1:
-            x = np.arange(2 ** log_sizes[0]) / 2 ** log_sizes[0]
-            return GridFunction(log_sizes, func(x))
-        x = np.arange(2 ** log_sizes[0]) / 2 ** log_sizes[0]
-        y = np.arange(2 ** log_sizes[1]) / 2 ** log_sizes[1]
-        return GridFunction(log_sizes, func(x[:, None], y[None, :]))
+        axes = (np.arange(2**L) / 2**L for L in log_sizes)
+        return GridFunction(log_sizes, func(*np.meshgrid(*axes, indexing="ij", sparse=True)))
 
     @staticmethod
     def constant(value, log_sizes) -> "GridFunction":
@@ -113,6 +101,14 @@ def _values_like(f: GridFunction, other):
             raise ValueError("grid size mismatch")
         return other.values
     return other
+
+
+def _frequency(n, dims: int) -> tuple[int, ...]:
+    """Integer frequency ``n`` (a scalar in 1D) as one entry per axis."""
+    ns = tuple(int(m) for m in np.atleast_1d(n))
+    if len(ns) != dims:
+        raise ValueError(f"frequency {n!r} needs {dims} components")
+    return ns
 
 
 @dataclass(frozen=True)
@@ -150,11 +146,8 @@ class Spectrum:
 
     def coefficient(self, n) -> complex:
         """Coefficient at integer frequency ``n`` (scalar or tuple)."""
-        if self.dims == 1:
-            idx = self._axis_index(int(np.atleast_1d(n)[0]), 0)
-            return complex(self.coefficients[idx])
-        n1, n2 = n
-        return complex(self.coefficients[self._axis_index(n1, 0), self._axis_index(n2, 1)])
+        idx = tuple(self._axis_index(m, a) for a, m in enumerate(_frequency(n, self.dims)))
+        return complex(self.coefficients[idx])
 
     def _axis_index(self, n: int, axis: int) -> int:
         size = self.sizes[axis]
@@ -168,11 +161,7 @@ class Spectrum:
         shape = tuple(2**L for L in log_sizes)
         coeffs = np.zeros(shape, dtype=np.complex128)
         for n, c in modes.items():
-            if len(log_sizes) == 1:
-                coeffs[int(n) % shape[0]] = c
-            else:
-                n1, n2 = n
-                coeffs[int(n1) % shape[0], int(n2) % shape[1]] = c
+            coeffs[tuple(m % s for m, s in zip(_frequency(n, len(shape)), shape))] = c
         return Spectrum(log_sizes, coeffs)
 
 

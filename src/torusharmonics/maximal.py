@@ -6,6 +6,8 @@ with prefix sums and O(N) sliding-window maxima per width, so downstream
 constants carry no approximation ambiguity.  The strong maximal function
 restricts to rectangles with power-of-two side lengths at arbitrary offsets
 (any rectangle is contained in one of that class with at most 4x the area).
+The adapted maximal function reads the pairings <phi_I, f> off the
+coefficient transform through the one-parameter 'M' aggregate of the hybrids.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from .bumps import AdaptedFamily
 from .dyadic import DyadicInterval, star
 from .grid import GridFunction
+from .squares import _envelope
 
 
 def _sliding_max(arr: np.ndarray, w: int) -> np.ndarray:
@@ -71,15 +74,23 @@ def _hl_axis(absvals: np.ndarray, shift: int = 0, sup_shift: bool = False) -> np
     return best
 
 
+def _level_averages(vals: np.ndarray) -> dict[int, np.ndarray]:
+    """Dyadic block averages along the last axis, levels L (cells) down to 1."""
+    log_size = vals.shape[-1].bit_length() - 1
+    out = {log_size: vals}
+    level = vals
+    for k in range(log_size - 1, 0, -1):
+        level = 0.5 * (level[..., 0::2] + level[..., 1::2])
+        out[k] = level
+    return out
+
+
 def _dyadic_axis(absvals: np.ndarray) -> np.ndarray:
     """Dyadic maximal function along the last axis (levels 1..L)."""
     n = absvals.shape[-1]
-    log_size = n.bit_length() - 1
-    best = absvals.copy()  # level L: single cells
-    level = absvals
-    for k in range(log_size - 1, 0, -1):
-        level = 0.5 * (level[..., 0::2] + level[..., 1::2])
-        best = np.maximum(best, np.repeat(level, n // 2**k, axis=-1))
+    best = absvals
+    for level in _level_averages(absvals).values():
+        best = np.maximum(best, np.repeat(level, n // level.shape[-1], axis=-1))
     return best
 
 
@@ -136,28 +147,12 @@ def maximal(f: GridFunction, kind: str = "hl", n: int = 0, axis: int = 0) -> Gri
 
 
 def adapted_maximal(f: GridFunction, fam: AdaptedFamily) -> GridFunction:
-    """M'f = sup_I |<phi_I, f>| / |I| on I, from per-scale convolutions."""
+    """M'f = sup_I |<phi_I, f>| / |I| on I, from the coefficient transform."""
     if f.dims != 1:
         raise ValueError("adapted maximal requires a 1D grid function")
     if f.log_sizes[0] != fam.log_size:
         raise ValueError("family grid does not match the input grid")
-    n = 2**fam.log_size
-    out = np.zeros(n)
-    for k in fam.scales:
-        coeffs = scale_coefficient_lags(f.values, fam.prototype_values(k))
-        step = 2 ** (fam.log_size - k)
-        # <phi_I, f> = 2^-k * lag value, so dividing by |I| = 2^-k cancels
-        level = np.abs(coeffs[::step])
-        out = np.maximum(out, np.repeat(level, step))
-    return GridFunction(f.log_sizes, out)
-
-
-def scale_coefficient_lags(fvals: np.ndarray, proto: np.ndarray) -> np.ndarray:
-    """c[s] = (1/N) sum_x proto(x - s) conj(f(x)) for every lag s, via FFT."""
-    n = fvals.shape[-1]
-    fh = np.fft.fft(np.conj(fvals), axis=-1)
-    ph = np.fft.fft(proto)
-    return np.fft.ifft(fh * ph, axis=-1) / n
+    return GridFunction(f.log_sizes, _envelope(f, (fam,), "M", (0,)))
 
 
 @dataclass
@@ -198,22 +193,11 @@ class CZDecomposition:
         return GridFunction(self.good.log_sizes, total)
 
 
-def _level_averages(vals: np.ndarray, log_size: int) -> dict[int, np.ndarray]:
-    """Per-level dyadic block averages, levels 1..L."""
-    out = {}
-    level = vals
-    for k in range(log_size, 0, -1):
-        if k != log_size:
-            level = 0.5 * (level[0::2] + level[1::2])
-        out[k] = level
-    return out
-
-
 def maximal_dyadic_intervals(absvals: np.ndarray, threshold: float) -> list[DyadicInterval]:
     """Maximal dyadic intervals whose |f|-average exceeds ``threshold``."""
     n = absvals.shape[0]
     log_size = n.bit_length() - 1
-    averages = _level_averages(absvals, log_size)
+    averages = _level_averages(absvals)
     chosen: list[DyadicInterval] = []
     blocked = np.zeros(2, dtype=bool)
     for k in range(1, log_size + 1):

@@ -7,23 +7,22 @@ third family,
     T(f, g) = sum_I eps_I |I|^{-1/2} <phi^1_I, f> <phi^2_I, g> phi^3_I,
 
 with L2-normalized members.  One slot per parameter axis may carry mean; the
-others must be zero-mean.  Coefficients come from per-scale FFT correlations
-and the output is assembled scale by scale with one convolution each.
+others must be zero-mean.  Coefficients are read off ``transform.analysis``
+per scale (scale pair in two parameters), and the output is one
+``transform.synthesis``: every scale's weight train is convolved in
+frequency and the sum is inverted once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridFunction
-from .squares import (
-    _alpha_offsets,
-    convolve_train,
-    correlation_lags,
-    correlation_lags_2d,
-)
+from .squares import _member_starts, _prototypes
+from .transform import analysis, synthesis
 
 
 @dataclass
@@ -78,28 +77,22 @@ def paraproduct_1p(spec: ParaproductSpec, f: GridFunction, g: GridFunction) -> G
     size = 2**log_size
     n1, n2 = spec.shifts if spec.shifts else (0, 0)
     scales = sorted(set(fam1.scales) & set(fam2.scales) & set(fam3.scales))
-    out = np.zeros(size, dtype=np.complex128)
-    for k in scales:
-        lags_f = correlation_lags(f.values, fam1.prototype_values(k))
-        lags_g = correlation_lags(g.values, fam2.prototype_values(k))
-        step = 2 ** (log_size - k)
-        base = np.arange(2**k) * step
-        offsets = (
-            _alpha_offsets(step, spec.max_offsets)
-            if spec.average_alpha
-            else np.array([0])
-        )
-        acc = np.zeros(size, dtype=np.complex128)
-        eps_k = spec.epsilon.at(k)
-        for o in offsets:
-            cf = lags_f[(base + n1 * step + o) % size]
-            cg = lags_g[(base + n2 * step + o) % size]
+
+    def trains():
+        lags_f = analysis(f.values, [_prototypes(fam1, scales)])
+        lags_g = analysis(g.values, [_prototypes(fam2, scales)])
+        for k, lf, lg in zip(scales, lags_f, lags_g):
+            step = 2 ** (log_size - k)
+            at = _member_starts(k, step, spec.max_offsets if spec.average_alpha else None)
+            cf = lf[(at + n1 * step) % size]
+            cg = lg[(at + n2 * step) % size]
             # |I|^{-1/2} and three L2 normalizations against the raw lag and
             # member scalings leave a net 2^-k on the lag products
-            weights = eps_k * cf * cg * 2.0**-k
-            acc += np.roll(convolve_train(weights, step, fam3.prototype_values(k)), int(o))
-        out += acc / len(offsets)
-    return GridFunction(f.log_sizes, out)
+            train = np.zeros(size, dtype=np.complex128)
+            train[at] = spec.epsilon.at(k)[:, None] * cf * cg * 2.0**-k / at.shape[1]
+            yield train
+
+    return GridFunction(f.log_sizes, synthesis(trains(), [_prototypes(fam3, scales)]))
 
 
 def paraproduct_2p(spec: ParaproductSpec, f: GridFunction, g: GridFunction) -> GridFunction:
@@ -112,32 +105,25 @@ def paraproduct_2p(spec: ParaproductSpec, f: GridFunction, g: GridFunction) -> G
     log1, log2 = ax1_fams[0].log_size, ax2_fams[0].log_size
     if f.log_sizes != (log1, log2) or g.log_sizes != (log1, log2):
         raise ValueError("input grids do not match the family grids")
-    sz1, sz2 = 2**log1, 2**log2
-    out = np.zeros((sz1, sz2), dtype=np.complex128)
-    scales1 = sorted(set.intersection(*(set(fam.scales) for fam in ax1_fams)))
-    scales2 = sorted(set.intersection(*(set(fam.scales) for fam in ax2_fams)))
-    for k1 in scales1:
-        step1 = 2 ** (log1 - k1)
-        base1 = np.arange(2**k1) * step1
-        for k2 in scales2:
-            step2 = 2 ** (log2 - k2)
-            base2 = np.arange(2**k2) * step2
-            lags_f = correlation_lags_2d(
-                f.values, ax1_fams[0].prototype_values(k1), ax2_fams[0].prototype_values(k2)
+    scales = [
+        sorted(set.intersection(*(set(fam.scales) for fam in axis_fams)))
+        for axis_fams in spec.families
+    ]
+
+    def slot(i):
+        return [_prototypes(axis_fams[i], ks) for axis_fams, ks in zip(spec.families, scales)]
+
+    def trains():
+        lags = zip(analysis(f.values, slot(0)), analysis(g.values, slot(1)))
+        for (k1, k2), (lf, lg) in zip(itertools.product(*scales), lags):
+            lattice = np.s_[:: 2 ** (log1 - k1), :: 2 ** (log2 - k2)]
+            train = np.zeros(f.sizes, dtype=np.complex128)
+            train[lattice] = (
+                spec.epsilon.at(k1, k2) * lf[lattice] * lg[lattice] * 2.0 ** (-(k1 + k2))
             )
-            lags_g = correlation_lags_2d(
-                g.values, ax1_fams[1].prototype_values(k1), ax2_fams[1].prototype_values(k2)
-            )
-            cf = lags_f[np.ix_(base1, base2)]
-            cg = lags_g[np.ix_(base1, base2)]
-            weights = spec.epsilon.at(k1, k2) * cf * cg * 2.0 ** (-(k1 + k2))
-            train = np.zeros((sz1, sz2), dtype=np.complex128)
-            train[::step1, ::step2] = weights
-            kernel = np.outer(
-                ax1_fams[2].prototype_values(k1), ax2_fams[2].prototype_values(k2)
-            )
-            out += np.fft.ifft2(np.fft.fft2(train) * np.fft.fft2(kernel))
-    return GridFunction(f.log_sizes, out)
+            yield train
+
+    return GridFunction(f.log_sizes, synthesis(trains(), slot(2)))
 
 
 def paraproduct_pairing(
@@ -146,17 +132,14 @@ def paraproduct_pairing(
     """<T(f, g), h> computed directly from the three coefficient fields."""
     if spec.params != 1:
         raise ValueError("pairing helper covers the single-parameter case")
-    fam1, fam2, fam3 = spec.families
-    log_size = fam1.log_size
-    size = 2**log_size
+    fams = spec.families
+    log_size = fams[0].log_size
+    scales = sorted(set.intersection(*(set(fam.scales) for fam in fams)))
+    lags = [analysis(u.values, [_prototypes(fam, scales)]) for u, fam in zip((f, g, h), fams)]
     total = 0.0 + 0.0j
-    scales = sorted(set(fam1.scales) & set(fam2.scales) & set(fam3.scales))
-    for k in scales:
+    for k, lf, lg, lh in zip(scales, *lags):
         step = 2 ** (log_size - k)
-        base = np.arange(2**k) * step
-        cf = correlation_lags(f.values, fam1.prototype_values(k))[base]
-        cg = correlation_lags(g.values, fam2.prototype_values(k))[base]
-        ch = correlation_lags(h.values, fam3.prototype_values(k))[base]
         # three normalized coefficients against |I|^{-1/2}: net factor 2^-k
-        total += complex(np.sum(spec.epsilon.at(k) * cf * cg * ch) * 2.0**-k)
+        products = spec.epsilon.at(k) * lf[::step] * lg[::step] * lh[::step]
+        total += complex(np.sum(products) * 2.0**-k)
     return total

@@ -1,48 +1,22 @@
 """Littlewood-Paley square functions, linearizations, and hybrid operators.
 
-Every operator here is assembled from coefficient fields <phi_I, f> computed
-with one FFT correlation per scale (per scale pair in 2D): the correlation
-array holds the pairing against the prototype translated to *every* grid
-lag, and dyadic (or shifted / fractionally shifted) intervals read off their
-lags by striding.
+Every operator here reads the pairings <phi_I, f> off the lag arrays of
+``transform.analysis`` (one forward FFT of f per call, one inverse FFT per
+scale, or per scale tuple on several axes): dyadic, shifted and fractionally
+shifted intervals read their lags by striding.  Sums of members go back
+through ``transform.synthesis``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bumps import AdaptedFamily
 from .grid import GridFunction
-
-
-def correlation_lags(fvals: np.ndarray, proto: np.ndarray) -> np.ndarray:
-    """c[s] = (1/N) sum_x proto(x - s) conj(f(x)), all lags via FFT."""
-    n = proto.shape[0]
-    fh = np.fft.fft(np.conj(fvals), axis=-1)
-    ph = np.fft.fft(proto)
-    return np.fft.ifft(fh * ph, axis=-1) / n
-
-
-def correlation_lags_2d(fvals: np.ndarray, proto1: np.ndarray, proto2: np.ndarray):
-    """c[s1, s2] = (1/N1 N2) sum proto1(x-s1) proto2(y-s2) conj(f(x, y))."""
-    fh = np.fft.fft2(np.conj(fvals))
-    ph = np.outer(np.fft.fft(proto1), np.fft.fft(proto2))
-    return np.fft.ifft2(fh * ph) / fvals.size
-
-
-def place_on_grid(weights: np.ndarray, step: int, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=np.complex128)
-    out[::step] = weights
-    return out
-
-
-def convolve_train(weights: np.ndarray, step: int, proto: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] proto(x - j*step), via one circular convolution."""
-    n = proto.shape[0]
-    train = place_on_grid(weights, step, n)
-    return np.fft.ifft(np.fft.fft(train) * np.fft.fft(proto))
+from .transform import analysis, synthesis
 
 
 @dataclass
@@ -107,10 +81,25 @@ class EpsilonField2D:
         )
 
 
+
 def _alpha_offsets(step: int, max_offsets: int = 64) -> np.ndarray:
     """Grid-representable fractional shifts at one scale, stride-subsampled."""
     stride = max(1, step // max_offsets)
     return np.arange(0, step, stride)
+
+
+def _member_starts(k: int, step: int, max_offsets: int | None = None) -> np.ndarray:
+    """Start sample j step + o of the scale-k member on I_j (row j) shifted by o.
+
+    The columns are the fractional shifts o of ``_alpha_offsets``, or o = 0
+    alone when ``max_offsets`` is None.
+    """
+    offsets = np.zeros(1, dtype=int) if max_offsets is None else _alpha_offsets(step, max_offsets)
+    return (np.arange(2**k) * step)[:, None] + offsets
+
+
+def _prototypes(fam: AdaptedFamily, scales) -> list[np.ndarray]:
+    return [fam.prototype_values(k) for k in scales]
 
 
 @dataclass
@@ -128,21 +117,59 @@ class CoefficientField:
 def coefficient_field(
     f: GridFunction, fam: AdaptedFamily, n: int = 0, alpha: float = 0.0
 ) -> CoefficientField:
-    """All pairings <phi_{I^n_alpha}, f>, one FFT correlation per scale.
+    """All pairings <phi_{I^n_alpha}, f>, one inverse FFT per scale.
 
     ``alpha`` is snapped to the nearest grid-representable shift per scale.
     """
     if f.dims != 1 or f.log_sizes[0] != fam.log_size:
         raise ValueError("input grid does not match the family grid")
-    log_size = fam.log_size
+    size = 2**fam.log_size
     scales = {}
-    for k in fam.scales:
-        lags = correlation_lags(f.values, fam.prototype_values(k))
-        step = 2 ** (log_size - k)
-        offset = int(round(alpha * step)) % (2**log_size)
+    for k, lags in zip(fam.scales, analysis(f.values, [_prototypes(fam, fam.scales)])):
+        step = 2 ** (fam.log_size - k)
+        offset = int(round(alpha * step)) % size
         idx = (np.arange(2**k) + n) % 2**k
-        scales[k] = 2.0**-k * lags[(idx * step + offset) % 2**log_size]
+        scales[k] = 2.0**-k * lags[(idx * step + offset) % size]
     return CoefficientField(fam, (n, alpha), scales)
+
+
+def _envelope(f, fams, kind, shifts, max_offsets=None) -> np.ndarray:
+    """Aggregate A_R = |<phi_{R^n}, f>| / |R| over the dyadic boxes R.
+
+    Axis a's letter of ``kind`` aggregates over that axis's scales, 'S' by
+    (sum A^2)^{1/2} and 'M' by the sup, innermost axis first.  With
+    ``max_offsets`` the pairing is also maximized over the fractional shifts
+    of ``_alpha_offsets`` per axis.  The aggregates run as the scale tuples
+    arrive, so one lag array and one partial aggregate per axis are alive.
+    """
+    scale_lists = [list(fam.scales) for fam in fams]
+    lag_arrays = analysis(f.values, [_prototypes(fam, ks) for fam, ks in zip(fams, scale_lists)])
+    partial = [None] * len(fams)
+    for ks, lags in zip(itertools.product(*scale_lists), lag_arrays):
+        steps = [size >> k for size, k in zip(f.sizes, ks)]
+        reads, shape = [], []
+        for k, step, n, size in zip(ks, steps, shifts, f.sizes):
+            starts = _member_starts(k, step, max_offsets)
+            reads.append(((starts + n * step) % size).ravel())
+            shape += starts.shape
+        # the members' 2^-k scalings cancel against |R|
+        amp = np.abs(lags[np.ix_(*reads)]).reshape(shape).max(axis=tuple(range(1, len(shape), 2)))
+        for axis, step in enumerate(steps):
+            amp = np.repeat(amp, step, axis=axis)
+        for axis in reversed(range(len(fams))):
+            if kind[axis] == "S":
+                amp = amp**2
+            if partial[axis] is None:
+                partial[axis] = amp
+            elif kind[axis] == "S":
+                partial[axis] += amp
+            else:
+                np.maximum(partial[axis], amp, out=partial[axis])
+            if ks[axis] != scale_lists[axis][-1]:
+                break
+            amp = np.sqrt(partial[axis]) if kind[axis] == "S" else partial[axis]
+            partial[axis] = None
+    return amp
 
 
 def square_function(
@@ -165,23 +192,8 @@ def square_function(
         raise ValueError(f"unknown square function mode {mode!r}")
     if mode == "plain":
         n = 0
-    log_size = fam.log_size
-    size = 2**log_size
-    total = np.zeros(size)
-    for k in fam.scales:
-        lags = correlation_lags(f.values, fam.prototype_values(k))
-        step = 2 ** (log_size - k)
-        starts = ((np.arange(2**k) + n) * step) % size
-        if mode == "shifted_sup":
-            offsets = _alpha_offsets(step, max_offsets)
-            gathered = np.abs(lags[(starts[:, None] + offsets[None, :]) % size])
-            level = gathered.max(axis=1)
-        else:
-            level = np.abs(lags[starts])
-        # normalized coefficient / sqrt|I| contributes |c|^2 * 4^k with the
-        # raw 2^-k lag scaling folded in: (2^-k |lag| * 2^{k/2})^2 * 2^k
-        total += np.repeat(level**2, step)
-    return GridFunction(f.log_sizes, np.sqrt(total))
+    sup_offsets = max_offsets if mode == "shifted_sup" else None
+    return GridFunction(f.log_sizes, _envelope(f, (fam,), "S", (n,), sup_offsets))
 
 
 def linearize(
@@ -204,194 +216,70 @@ def linearize(
             raise ValueError("linearization requires zero-mean families")
         if f.dims != 1 or f.log_sizes[0] != fam.log_size:
             raise ValueError("input grid does not match the family grid")
-    log_size = fam1.log_size
-    size = 2**log_size
+    size = 2**fam1.log_size
     scales = sorted(set(fam1.scales) & set(fam2.scales))
-    out = np.zeros(size, dtype=np.complex128)
-    for k in scales:
-        lags = correlation_lags(f.values, fam1.prototype_values(k))
-        step = 2 ** (log_size - k)
-        starts = ((np.arange(2**k) + n) * step) % size
-        offsets = _alpha_offsets(step, max_offsets) if average_alpha else np.array([0])
-        acc = np.zeros(size, dtype=np.complex128)
-        for o in offsets:
-            # eps <phi^1_norm, f> phi^2_norm = eps 2^-k lag psi^2(x - j step)
-            weights = 2.0**-k * eps.at(k) * lags[(starts + o) % size]
-            acc += np.roll(
-                convolve_train(weights, step, fam2.prototype_values(k)), int(o)
-            )
-        out += acc / len(offsets)
-    return GridFunction(f.log_sizes, out)
 
+    def trains():
+        for k, lags in zip(scales, analysis(f.values, [_prototypes(fam1, scales)])):
+            step = 2 ** (fam1.log_size - k)
+            at = _member_starts(k, step, max_offsets if average_alpha else None)
+            # eps <phi^1_norm, f> phi^2_norm = eps 2^-k lag psi^2(x - j step - o)
+            train = np.zeros(size, dtype=np.complex128)
+            train[at] = 2.0**-k * eps.at(k)[:, None] * lags[(at + n * step) % size] / at.shape[1]
+            yield train
 
-_HYBRID_KINDS = ("MM", "MS", "SM", "SS")
+    return GridFunction(f.log_sizes, synthesis(trains(), [_prototypes(fam2, scales)]))
 
 
 def hybrid(
     f: GridFunction,
-    fam_pair: tuple[AdaptedFamily, AdaptedFamily],
+    fams: tuple[AdaptedFamily, ...],
     kind: str = "SS",
-    shifts: tuple[int, int] = (0, 0),
+    shifts: tuple[int, ...] | None = None,
     sup_alpha: bool = False,
     max_offsets: int = 16,
 ) -> GridFunction:
-    """Bi-parameter hybrid operators on T^2 built from tensor coefficients.
+    """Multi-parameter hybrid operators on T^d built from tensor coefficients.
 
-    With A_R = |<phi_R, f>| / (|I| |J|) on R = I x J:
+    ``kind`` has one letter in {S, M} per axis.  With A_R = |<phi_R, f>| / |R|
+    on the dyadic box R, the last axis is aggregated first ('S' by the root
+    of the sum of squares, 'M' by the sup), then the next axis out, and so
+    on.  In two parameters:
       MM = sup_R A_R chi_R,     SS = (sum_R A_R^2 chi_R)^{1/2},
       MS = sup over the first axis of the second-axis square aggregate,
       SM = second-axis sup inside the first-axis square aggregate.
+    ``shifts`` pairs against phi_{R^n}, one n per axis (default none);
+    ``sup_alpha`` also takes the sup over fractional shifts per axis.
     The S-slots require the corresponding family to be zero-mean.
     """
-    if kind not in _HYBRID_KINDS:
-        raise ValueError(f"unknown hybrid kind {kind!r}")
-    fam1, fam2 = fam_pair
-    if f.dims != 2:
-        raise ValueError("hybrid operators act on 2D grid functions")
-    if f.log_sizes != (fam1.log_size, fam2.log_size):
+    if len(kind) != f.dims or any(c not in "SM" for c in kind):
+        raise ValueError(f"hybrid kind {kind!r} is not a {f.dims}-letter word over {{S, M}}")
+    if f.log_sizes != tuple(fam.log_size for fam in fams):
         raise ValueError("input grid does not match the family grids")
-    if kind[0] == "S" and not fam1.zero_mean:
-        raise ValueError("first-axis S slot requires a zero-mean family")
-    if kind[1] == "S" and not fam2.zero_mean:
-        raise ValueError("second-axis S slot requires a zero-mean family")
-    n1, n2 = f.sizes
-    # per (k1, k2): A over the grid (repeated to sample resolution)
-    per_k1: dict[int, np.ndarray] = {}
-    for k1 in fam1.scales:
-        step1 = 2 ** (fam1.log_size - k1)
-        acc1 = None
-        for k2 in fam2.scales:
-            step2 = 2 ** (fam2.log_size - k2)
-            amp = _rect_coeff_amplitude(
-                f, fam1, fam2, k1, k2, shifts, sup_alpha, max_offsets
-            )
-            grid_amp = np.repeat(np.repeat(amp, step1, axis=0), step2, axis=1)
-            if kind[1] == "S":
-                contrib = grid_amp**2
-                acc1 = contrib if acc1 is None else acc1 + contrib
-            else:
-                acc1 = grid_amp if acc1 is None else np.maximum(acc1, grid_amp)
-        per_k1[k1] = acc1
-    stack = np.stack([per_k1[k1] for k1 in fam1.scales])
-    if kind[0] == "S":
-        if kind[1] == "S":
-            out = np.sqrt(stack.sum(axis=0))
-        else:
-            out = np.sqrt((stack**2).sum(axis=0))
-    else:
-        if kind[1] == "S":
-            out = np.sqrt(stack).max(axis=0)
-        else:
-            out = stack.max(axis=0)
-    return GridFunction(f.log_sizes, out)
-
-
-def _rect_coeff_amplitude(f, fam1, fam2, k1, k2, shifts, sup_alpha, max_offsets):
-    """|<phi_R, f>| / |R| over dyadic rectangles at one scale pair."""
-    log1, log2 = fam1.log_size, fam2.log_size
-    n1s, n2s = 2**log1, 2**log2
-    step1 = 2 ** (log1 - k1)
-    step2 = 2 ** (log2 - k2)
-    lags = correlation_lags_2d(
-        f.values, fam1.prototype_values(k1), fam2.prototype_values(k2)
-    )
-    starts1 = ((np.arange(2**k1) + shifts[0]) * step1) % n1s
-    starts2 = ((np.arange(2**k2) + shifts[1]) * step2) % n2s
-    if not sup_alpha:
-        # raw pairing is 2^(-k1-k2) * lag and |R| = 2^(-k1-k2): they cancel
-        return np.abs(lags[np.ix_(starts1, starts2)])
-    off1 = _alpha_offsets(step1, max_offsets)
-    off2 = _alpha_offsets(step2, max_offsets)
-    best = np.zeros((2**k1, 2**k2))
-    for o1 in off1:
-        rows = (starts1 + o1) % n1s
-        sub = np.abs(lags[np.ix_(rows, (starts2[:, None] + off2[None, :]).ravel() % n2s)])
-        sub = sub.reshape(2**k1, 2**k2, len(off2)).max(axis=2)
-        best = np.maximum(best, sub)
-    return best
-
-
-def hybrid3(
-    f: GridFunction3,
-    fams: tuple[AdaptedFamily, AdaptedFamily, AdaptedFamily],
-    kind: str = "SSS",
-) -> "GridFunction3":
-    """Tri-parameter hybrid operators on a 3D sample cube.
-
-    ``kind`` is a word in {S, M}^3; permuted kinds are handled by axis
-    transposition onto the canonical S-before-M ordering of aggregates.
-    """
-    if len(kind) != 3 or any(c not in "SM" for c in kind):
-        raise ValueError("kind must be a three-letter word over {S, M}")
     for axis, (fam, c) in enumerate(zip(fams, kind)):
         if c == "S" and not fam.zero_mean:
             raise ValueError(f"axis {axis} S slot requires a zero-mean family")
-    if f.values.ndim != 3:
-        raise ValueError("hybrid3 needs a 3D cube")
-    sizes = f.values.shape
-    logs = tuple(int(np.log2(s)) for s in sizes)
-
-    # amplitude cube per scale triple, aggregated innermost axis first
-    def aggregate(arrays, op):
-        if op == "S":
-            return np.sqrt(sum(a**2 for a in arrays))
-        return np.max(np.stack(arrays), axis=0)
-
-    ax1_aggs = []
-    for k1 in fams[0].scales:
-        step1 = 2 ** (logs[0] - k1)
-        ax2_aggs = []
-        for k2 in fams[1].scales:
-            step2 = 2 ** (logs[1] - k2)
-            inner = []
-            for k3 in fams[2].scales:
-                step3 = 2 ** (logs[2] - k3)
-                amp = _cube_coeff_amplitude(f.values, fams, (k1, k2, k3), logs)
-                grid_amp = amp
-                for axis, step in enumerate((step1, step2, step3)):
-                    grid_amp = np.repeat(grid_amp, step, axis=axis)
-                inner.append(grid_amp)
-            ax2_aggs.append(aggregate(inner, kind[2]))
-        ax1_aggs.append(aggregate(ax2_aggs, kind[1]))
-    out = aggregate(ax1_aggs, kind[0])
-    return GridFunction3(out)
+    shifts = (0,) * f.dims if shifts is None else tuple(shifts)
+    if len(shifts) != f.dims:
+        raise ValueError("one shift per axis")
+    sup_offsets = max_offsets if sup_alpha else None
+    return GridFunction(f.log_sizes, _envelope(f, fams, kind, shifts, sup_offsets))
 
 
-def _cube_coeff_amplitude(vals, fams, ks, logs):
-    k1, k2, k3 = ks
-    fh = np.fft.fftn(np.conj(vals))
-    ph = (
-        np.fft.fft(fams[0].prototype_values(k1))[:, None, None]
-        * np.fft.fft(fams[1].prototype_values(k2))[None, :, None]
-        * np.fft.fft(fams[2].prototype_values(k3))[None, None, :]
-    )
-    lags = np.fft.ifftn(fh * ph) / vals.size
-    idx = [
-        (np.arange(2**k) * 2 ** (log - k)) % (2**log)
-        for k, log in zip(ks, logs)
-    ]
-    coeff = lags[np.ix_(*idx)]
-    # |<phi_Q, f>| / |Q| with the member 2^-k scalings folded in
-    return np.abs(coeff)
+def hybrid3(f: GridFunction, fams: tuple[AdaptedFamily, ...], kind: str = "SSS") -> GridFunction:
+    """Tri-parameter hybrid on a 3D sample cube (``hybrid`` on three axes)."""
+    return hybrid(f, fams, kind)
 
 
-@dataclass(frozen=True)
-class GridFunction3:
-    """Minimal 3D sample cube used only by the tri-parameter operators."""
+class GridFunction3(GridFunction):
+    """A 3D grid function whose log sizes are read off the cube's shape."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim != 3:
-            raise ValueError("expected a 3D array")
-        for s in vals.shape:
-            if s & (s - 1) or s < 8:
-                raise ValueError("cube sides must be powers of two >= 8")
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values):
+        shape = np.shape(values)
+        if len(shape) != 3 or any(s & (s - 1) for s in shape):
+            raise ValueError(f"expected a 3D array with power-of-two sides, got {shape}")
+        super().__init__(tuple(s.bit_length() - 1 for s in shape), values)
 
     @staticmethod
     def from_callable(func, log_sizes) -> "GridFunction3":
-        axes = [np.arange(2**L) / 2**L for L in log_sizes]
-        x, y, z = np.meshgrid(*axes, indexing="ij")
-        return GridFunction3(func(x, y, z))
+        return GridFunction3(GridFunction.from_callable(func, log_sizes).values)

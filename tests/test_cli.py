@@ -110,6 +110,22 @@ class TestCLI:
         assert (mf.values.real >= np.abs(f.values) - 1e-12).all()
         assert (tmp_path / "Mf.json.config.json").exists()
 
+    def test_maximal_kind_validated_at_parse_time(self, sample):
+        _, path = sample
+        with pytest.raises(SystemExit) as err:
+            main(["maximal", "--kind", "bogus", "--in", str(path)])
+        assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:
+            main(["maximal", "--kind", "hl:2", "--in", str(path)])
+        assert err.value.code == 2
+        assert main(["maximal", "--kind", "shifted_sup:2", "--in", str(path)]) == 0
+
+    def test_missing_input_file_is_one_line_error(self, tmp_path, capsys):
+        code = main(["maximal", "--in", str(tmp_path / "absent.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_square_command(self, sample, tmp_path):
         _, path = sample
         out = tmp_path / "Sf.json"
