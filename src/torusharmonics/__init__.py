@@ -89,6 +89,7 @@ from .rearrange import (
 )
 from .squares import (
     CoefficientField,
+    EpsilonField,
     EpsilonField2D,
     EpsilonSequence,
     GridFunction3,

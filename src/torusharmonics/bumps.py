@@ -296,6 +296,31 @@ def build_double_pou(scale_count: int, log_size: int) -> DoubleBumpSystem:
     return DoubleBumpSystem(log_size, scale_count, prototypes, hats)
 
 
+def partition_residuals(
+    fam1: AdaptedFamily, fam2: AdaptedFamily, system: DoubleBumpSystem
+) -> dict:
+    """Worst deviations of the two partitions of unity from their identities.
+
+    ``residual`` is max |sum_k psi1_hat_k(n) psi2_hat_k(-n) - 1_{n != 0}| on
+    |n| <= ``band`` for the pair of ``build_pou``; ``residual_double`` is the
+    same for the triple sum of ``system`` on max(|n1|, |n2|) <= ``band_double``.
+    """
+    band = 2 ** (fam1.k_max - 4)
+    n = np.arange(-band, band + 1)
+    total = np.zeros(n.shape)
+    for k in fam1.scales:
+        total = total + fam1.hat(k, n) * fam2.hat(k, -n)
+    band2 = system.identity_band
+    n1, n2 = np.meshgrid(np.arange(-band2, band2 + 1), np.arange(-band2, band2 + 1))
+    total2 = system.triple_sum(n1, n2)
+    return {
+        "residual": float(np.abs(total - (n != 0)).max()),
+        "residual_double": float(np.abs(total2 - ((n1 != 0) | (n2 != 0))).max()),
+        "band": band,
+        "band_double": band2,
+    }
+
+
 def _dist_to_base_window(log_size: int, k: int) -> np.ndarray:
     """dist_T(x_j, [0, 2^-k]) for every grid point x_j."""
     n = 2**log_size

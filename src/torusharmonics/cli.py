@@ -15,7 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bumps import build_double_pou, build_pou, make_adapted_family, verify_adapted
+from .bumps import (
+    build_double_pou,
+    build_pou,
+    make_adapted_family,
+    partition_residuals,
+    verify_adapted,
+)
 from .gfio import (
     FileFormatError,
     RunConfig,
@@ -23,7 +29,7 @@ from .gfio import (
     read_grid_function,
     write_grid_function,
 )
-from .grid import GridFunction
+from .grid import GridFunction, fourier_coefficients
 from .maximal import cz_decompose, maximal
 from .multipliers import (
     apply_1d,
@@ -34,7 +40,7 @@ from .multipliers import (
 )
 from .paraproducts import ParaproductSpec, paraproduct_1p, paraproduct_2p
 from .rearrange import rearrangement, zygmund_norm
-from .squares import EpsilonSequence, hybrid, square_function
+from .squares import EpsilonField, hybrid, square_function
 from .suite import run_suite
 
 CONFIG_ENV = "TORUSHARMONICS_CONFIG"
@@ -160,8 +166,8 @@ def _write_config_sidecar(outfile, config: RunConfig):
     Path(str(outfile) + ".config.json").write_text(json.dumps(config.to_dict(), indent=2))
 
 
-def _family_for(f: GridFunction, kind: str, scales=None):
-    log_size = f.log_sizes[0]
+def _family_for(f: GridFunction, kind: str, scales=None, axis: int = 0):
+    log_size = f.log_sizes[axis]
     return make_adapted_family(kind, scales or (log_size - 3), log_size)
 
 
@@ -179,9 +185,9 @@ def _parse_mode(mode: str):
 def _parse_epsilon(text: str, k_range):
     name, _, arg = text.partition(":")
     if name == "seed":
-        return EpsilonSequence.rademacher(int(arg or 0), k_range)
+        return EpsilonField.rademacher(int(arg or 0), k_range)
     if name == "constant":
-        return EpsilonSequence.constant(complex(arg or 1.0), k_range)
+        return EpsilonField.constant(complex(arg or 1.0), k_range)
     if name == "file":
         return _epsilon_from_file(arg, k_range)
     raise FileFormatError(f"unknown epsilon spec {text!r}")
@@ -203,7 +209,7 @@ def _epsilon_from_file(path: str, k_range):
         scales[k] = np.array(
             [complex(e[0], e[1]) if isinstance(e, list) else complex(e) for e in entries]
         )
-    return EpsilonSequence(scales)
+    return EpsilonField(scales)
 
 
 def main(argv=None) -> int:
@@ -284,8 +290,9 @@ def _dispatch(args, config: RunConfig) -> int:
 
     if args.command == "hybrid":
         f = _read_input(args)
-        fam1 = make_adapted_family("from_pou_1", (f.log_sizes[0] - 3), f.log_sizes[0])
-        fam2 = make_adapted_family("from_pou_1", (f.log_sizes[1] - 3), f.log_sizes[1])
+        if f.dims != 2:
+            raise FileFormatError("hybrid takes 2D inputs")
+        fam1, fam2 = (_family_for(f, "from_pou_1", args.scales, axis) for axis in (0, 1))
         out = hybrid(f, (fam1, fam2), args.kind)
         _write_output(out, args, config)
         print(f"||{args.kind}f||_2 = {np.sqrt(np.mean(np.abs(out.values)**2)):.6g} "
@@ -361,47 +368,25 @@ def _dispatch(args, config: RunConfig) -> int:
             raise FileFormatError("paraproducts need --in2")
         g = _read_input(args, "infile2")
         slots = tuple(int(s) for s in args.slots.split(","))
-
-        def family_triple(log_size, scales):
-            return (
-                make_adapted_family("from_pou_1", scales, log_size),
-                make_adapted_family("from_pou_2", scales, log_size),
-                make_adapted_family("lower_bounded", scales, log_size),
+        if f.dims != args.params:
+            raise FileFormatError(f"--params {args.params} takes {args.params}D inputs")
+        if args.params == 2 and len(slots) != 2:
+            raise FileFormatError("--params 2 needs --slots a,b")
+        ranges = [range(1, (args.scales or log_size - 3) + 1) for log_size in f.log_sizes]
+        triples = [
+            tuple(
+                make_adapted_family(kind, len(ks), log_size)
+                for kind in ("from_pou_1", "from_pou_2", "lower_bounded")
             )
-
-        if args.params == 1:
-            if f.dims != 1:
-                raise FileFormatError("--params 1 takes 1D inputs")
-            log_size = f.log_sizes[0]
-            scales = args.scales or (log_size - 3)
-            spec = ParaproductSpec(
-                params=1,
-                families=family_triple(log_size, scales),
-                mean_slots=slots[:1],
-                epsilon=_parse_epsilon(args.eps, range(1, scales + 1)),
-            )
-            out = paraproduct_1p(spec, f, g)
-        else:
-            if f.dims != 2:
-                raise FileFormatError("--params 2 takes 2D inputs")
-            if len(slots) != 2:
-                raise FileFormatError("--params 2 needs --slots a,b")
-            scales1 = args.scales or (f.log_sizes[0] - 3)
-            scales2 = args.scales or (f.log_sizes[1] - 3)
-            eps1 = _parse_epsilon(args.eps, range(1, scales1 + 1))
-            eps2 = _parse_epsilon(args.eps, range(1, scales2 + 1))
-            from .squares import EpsilonField2D
-
-            spec = ParaproductSpec(
-                params=2,
-                families=(
-                    family_triple(f.log_sizes[0], scales1),
-                    family_triple(f.log_sizes[1], scales2),
-                ),
-                mean_slots=slots,
-                epsilon=EpsilonField2D.separable(eps1, eps2),
-            )
-            out = paraproduct_2p(spec, f, g)
+            for ks, log_size in zip(ranges, f.log_sizes)
+        ]
+        spec = ParaproductSpec(
+            params=args.params,
+            families=triples[0] if args.params == 1 else tuple(triples),
+            mean_slots=slots[: args.params],
+            epsilon=EpsilonField.separable(*(_parse_epsilon(args.eps, ks) for ks in ranges)),
+        )
+        out = (paraproduct_1p if args.params == 1 else paraproduct_2p)(spec, f, g)
         _write_output(out, args, config)
         print(f"||T(f,g)||_1 = {np.mean(np.abs(out.values)):.6g}")
         return 0
@@ -411,20 +396,8 @@ def _dispatch(args, config: RunConfig) -> int:
 
 def _bumps_report(scales: int, grid: int) -> dict:
     fam1, fam2 = build_pou(scales, grid)
-    band = 2 ** (scales - 4)
-    n = np.arange(-band, band + 1)
-    total = np.zeros(n.shape)
-    for k in range(1, scales + 1):
-        total = total + fam1.hat(k, n) * fam2.hat(k, -n)
-    residual = float(np.abs(total - (n != 0)).max())
-    system = build_double_pou(scales, grid)
-    band2 = system.identity_band
-    n1, n2 = np.meshgrid(np.arange(-band2, band2 + 1), np.arange(-band2, band2 + 1))
-    residual2 = float(np.abs(system.triple_sum(n1, n2) - ((n1 != 0) | (n2 != 0))).max())
-
+    residuals = partition_residuals(fam1, fam2, build_double_pou(scales, grid))
     leakage = 0.0
-    from .grid import fourier_coefficients
-
     for k in fam1.scales:
         spec = fourier_coefficients(fam1.prototypes[k])
         freq = np.abs(spec.frequencies())
@@ -435,8 +408,8 @@ def _bumps_report(scales: int, grid: int) -> dict:
     return {
         "grid": grid,
         "scales": scales,
-        "partition_residual": residual,
-        "double_partition_residual": residual2,
+        "partition_residual": residuals["residual"],
+        "double_partition_residual": residuals["residual_double"],
         "support_leakage": leakage,
         "adaptation_constants": {str(m): c for m, c in constants["C"].items()},
         "derivative_constants": {str(m): c for m, c in constants["C_prime"].items()},

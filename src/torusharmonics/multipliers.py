@@ -1,15 +1,20 @@
 """Multiplier symbols, Fourier-side application, and symbol decompositions.
 
-Linear symbols act by coefficient-wise multiplication; bilinear (and
-bi-parameter bilinear) operators are direct lattice sums over the retained
-frequency band, with an aliasing guard keeping every output frequency
-representable.  Symbol smoothness is probed by iterated unit-step finite
-differences on the integer lattice, and the per-scale coefficient tables of
-the cutoff symbols are computed by FFT quadrature on the side-2^k box.
+Linear symbols act by coefficient-wise multiplication.  Bilinear operators,
+in one parameter (``apply_bilinear``) and two (``apply_biparameter``), are
+one direct lattice sum on any number of axes over the retained band box
+|s_a|, |t_a| <= band: for each frequency s of the first input the whole t
+box is added into a padded spectrum, which is folded onto the grid once; an
+aliasing guard (band <= N/4) keeps every output frequency representable.
+Symbol smoothness is probed by iterated unit-step finite differences on the
+integer lattice, and the per-scale coefficient tables of the cutoff symbols
+are computed by FFT quadrature on the side-2^k box.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +54,11 @@ class MultiplierSymbol:
         return self.evaluate(*[np.asarray(a, dtype=float) for a in args])
 
 
-def _sgn(t):
-    return np.sign(t)
-
-
 def symbol_registry() -> dict[str, MultiplierSymbol]:
     """Built-in symbols used by the demos, the CLI, and the harness."""
 
     def hilbert(t):
-        return -1j * _sgn(t)
+        return -1j * np.sign(t)
 
     def oscillatory(t, gamma=1.0):
         t = np.asarray(t, dtype=float)
@@ -69,21 +70,21 @@ def symbol_registry() -> dict[str, MultiplierSymbol]:
     def mean_remover(t):
         return (np.asarray(t) != 0).astype(complex)
 
-    def ratio_x2(s, t):
-        s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
-        denom = s**2 + t**2
-        out = np.zeros(denom.shape, dtype=complex)
-        nz = denom != 0
-        out[nz] = s[nz] ** 2 / denom[nz]
-        return out
+    def ratio(numerator):
+        """numerator(s, t) / (s^2 + t^2), and 0 at the origin."""
 
-    def ratio_xy(s, t):
-        s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
-        denom = s**2 + t**2
-        out = np.zeros(denom.shape, dtype=complex)
-        nz = denom != 0
-        out[nz] = (s * t)[nz] / denom[nz]
-        return out
+        def symbol(s, t):
+            s, t = np.broadcast_arrays(np.asarray(s, float), np.asarray(t, float))
+            denom = s**2 + t**2
+            out = np.zeros(denom.shape, dtype=complex)
+            nz = denom != 0
+            out[nz] = numerator(s[nz], t[nz]) / denom[nz]
+            return out
+
+        return symbol
+
+    ratio_x2 = ratio(lambda s, t: s**2)
+    ratio_xy = ratio(lambda s, t: s * t)
 
     def biparam_product(s1, s2, t1, t2):
         return ratio_x2(s1, t1) * ratio_xy(s2, t2)
@@ -124,29 +125,24 @@ def apply_1d(m: MultiplierSymbol, f: GridFunction) -> GridFunction:
     return inverse_transform(Spectrum(f.log_sizes, m(freqs) * spec.coefficients))
 
 
+def _outside_band(spec: Spectrum, band: int) -> np.ndarray:
+    """Mask of the frequencies with |n_axis| > band on some axis."""
+    far = [np.abs(spec.frequencies(axis)) > band for axis in range(spec.dims)]
+    return functools.reduce(np.logical_or, np.meshgrid(*far, indexing="ij", sparse=True))
+
+
 def band_limit(f: GridFunction, band: int) -> GridFunction:
     """Zero all coefficients with any |n_axis| > band."""
     spec = fourier_coefficients(f)
     coeffs = np.array(spec.coefficients)
-    if f.dims == 1:
-        coeffs[np.abs(spec.frequencies()) > band] = 0.0
-    else:
-        f1 = np.abs(spec.frequencies(0))[:, None]
-        f2 = np.abs(spec.frequencies(1))[None, :]
-        coeffs[(f1 > band) | (f2 > band)] = 0.0
+    coeffs[_outside_band(spec, band)] = 0.0
     return inverse_transform(Spectrum(f.log_sizes, coeffs))
 
 
 def _check_band(f: GridFunction, band: int, who: str):
     spec = fourier_coefficients(f)
-    if f.dims == 1:
-        mask = np.abs(spec.frequencies()) > band
-        leak = np.abs(spec.coefficients[mask]).max() if mask.any() else 0.0
-    else:
-        f1 = np.abs(spec.frequencies(0))[:, None]
-        f2 = np.abs(spec.frequencies(1))[None, :]
-        mask = (f1 > band) | (f2 > band)
-        leak = np.abs(spec.coefficients[mask]).max() if mask.any() else 0.0
+    mask = _outside_band(spec, band)
+    leak = np.abs(spec.coefficients[mask]).max() if mask.any() else 0.0
     if leak > 1e-12:
         raise ValueError(
             f"{who} is not band-limited to |n| <= {band} (leak {leak:.2e}); "
@@ -155,31 +151,54 @@ def _check_band(f: GridFunction, band: int, who: str):
     return spec
 
 
+def _band_box(spec: Spectrum, band: int) -> np.ndarray:
+    """The coefficients at -band..band per axis, frequency ascending."""
+    centered = np.fft.fftshift(spec.coefficients)
+    return centered[tuple(slice(n // 2 - band, n // 2 + band + 1) for n in spec.sizes)]
+
+
+def _lattice_spectrum(m, f: GridFunction, g: GridFunction, band: int) -> np.ndarray:
+    """Coefficients of sum_{s,t} m(s, t) f_hat(s) g_hat(t) e^{2 pi i x.(s+t)} on T^d.
+
+    s and t run over the box |s_a|, |t_a| <= band; the inputs must vanish
+    outside it.  For each s of the first slot, the whole t box is added into
+    a padded spectrum over |s + t|_a <= 2 band, which is folded onto the grid
+    once at the end, so the (2 band + 1)^{2d} lattice is never formed.
+    """
+    fbox = _band_box(_check_band(f, band, "first input"), band)
+    gbox = _band_box(_check_band(g, band, "second input"), band)
+    t = np.meshgrid(*[np.arange(-band, band + 1)] * f.dims, indexing="ij")
+    padded = np.zeros((4 * band + 1,) * f.dims, dtype=complex)
+    for idx in itertools.product(range(2 * band + 1), repeat=f.dims):
+        fc = fbox[idx]
+        if fc == 0.0:
+            continue
+        s = [i - band for i in idx]
+        padded[tuple(slice(i, i + 2 * band + 1) for i in idx)] += m(*s, *t) * fc * gbox
+    out = np.zeros(f.sizes, dtype=complex)
+    fold = [np.arange(-2 * band, 2 * band + 1) % n for n in f.sizes]
+    np.add.at(out, np.ix_(*fold), padded)
+    return out
+
+
+def _check_bilinear(
+    m: MultiplierSymbol, f: GridFunction, g: GridFunction, params: int, who: str
+):
+    if (m.arity, m.params) != (2, params):
+        raise ValueError(f"{who} needs a 2-slot {params}-parameter symbol")
+    if f.dims != params or f.log_sizes != g.log_sizes:
+        raise ValueError(f"inputs must be matching {params}D grid functions")
+
+
 def apply_bilinear(m: MultiplierSymbol, f: GridFunction, g: GridFunction) -> GridFunction:
     """Lambda_m(f, g)(x) = sum_{s,t} m(s,t) f_hat(s) g_hat(t) e^{2 pi i x(s+t)}.
 
     Inputs must be band-limited to |n| <= N/4 so that the output frequencies
     s + t stay below the Nyquist band; the sum is a direct lattice sum.
     """
-    if (m.arity, m.params) != (2, 1):
-        raise ValueError("apply_bilinear needs a 2-slot 1-parameter symbol")
-    if f.dims != 1 or f.log_sizes != g.log_sizes:
-        raise ValueError("inputs must be matching 1D grid functions")
-    n = f.sizes[0]
-    band = n // 4
-    fspec = _check_band(f, band, "first input")
-    gspec = _check_band(g, band, "second input")
-    s = np.arange(-band, band + 1)
-    fs = np.array([fspec.coefficient(int(v)) for v in s])
-    gs = np.array([gspec.coefficient(int(v)) for v in s])
-    mesh_s, mesh_t = np.meshgrid(s, s, indexing="ij")
-    weights = m(mesh_s, mesh_t) * np.outer(fs, gs)
-    out_freq = (mesh_s + mesh_t).ravel() % n
-    coeffs = np.bincount(out_freq, weights=weights.ravel().real, minlength=n).astype(
-        complex
-    )
-    coeffs += 1j * np.bincount(out_freq, weights=weights.ravel().imag, minlength=n)
-    return inverse_transform(Spectrum(f.log_sizes, coeffs))
+    _check_bilinear(m, f, g, 1, "apply_bilinear")
+    band = f.sizes[0] // 4
+    return inverse_transform(Spectrum(f.log_sizes, _lattice_spectrum(m, f, g, band)))
 
 
 def apply_biparameter(
@@ -190,41 +209,13 @@ def apply_biparameter(
     The retained band per axis is min(N_axis // 4, 32) unless overridden;
     inputs must be band-limited accordingly.
     """
-    if (m.arity, m.params) != (2, 2):
-        raise ValueError("apply_biparameter needs a 2-slot 2-parameter symbol")
-    if f.dims != 2 or f.log_sizes != g.log_sizes:
-        raise ValueError("inputs must be matching 2D grid functions")
-    n1, n2 = f.sizes
+    _check_bilinear(m, f, g, 2, "apply_biparameter")
+    guard = min(f.sizes) // 4
     if band is None:
-        band = min(n1 // 4, n2 // 4, 32)
-    if band > min(n1, n2) // 4:
-        raise ValueError(f"band {band} exceeds the aliasing guard {min(n1, n2) // 4}")
-    fspec = _check_band(f, band, "first input")
-    gspec = _check_band(g, band, "second input")
-    rng = np.arange(-band, band + 1)
-    fgrid = np.array(
-        [[fspec.coefficient((int(a), int(b))) for b in rng] for a in rng]
-    )
-    ggrid = np.array(
-        [[gspec.coefficient((int(a), int(b))) for b in rng] for a in rng]
-    )
-    t1g, t2g = np.meshgrid(rng, rng, indexing="ij")
-    out = np.zeros((n1, n2), dtype=complex)
-    for i, s1 in enumerate(rng):
-        for j, s2 in enumerate(rng):
-            fc = fgrid[i, j]
-            if fc == 0.0:
-                continue
-            weights = m(s1, s2, t1g, t2g) * fc * ggrid
-            rows = (s1 + t1g).ravel() % n1
-            cols = (s2 + t2g).ravel() % n2
-            flat = rows * n2 + cols
-            out_flat = np.bincount(flat, weights=weights.ravel().real, minlength=n1 * n2)
-            out_flat = out_flat + 1j * np.bincount(
-                flat, weights=weights.ravel().imag, minlength=n1 * n2
-            )
-            out += out_flat.reshape(n1, n2)
-    return inverse_transform(Spectrum(f.log_sizes, out))
+        band = min(guard, 32)
+    if band > guard:
+        raise ValueError(f"band {band} exceeds the aliasing guard {guard}")
+    return inverse_transform(Spectrum(f.log_sizes, _lattice_spectrum(m, f, g, band)))
 
 
 def split_mean_term(m: MultiplierSymbol, f: GridFunction):
@@ -243,15 +234,9 @@ def split_mean_term(m: MultiplierSymbol, f: GridFunction):
 
 
 def _iter_multi_indices(dim: int, max_order: int):
-    if dim == 1:
-        for o in range(max_order + 1):
-            yield (o,)
-        return
-    for o in range(max_order + 1):
-        for head in range(o + 1):
-            for rest in _iter_multi_indices(dim - 1, o - head):
-                if sum(rest) == o - head:
-                    yield (head,) + rest
+    """Every alpha in N^dim with |alpha| <= max_order, by order, then lexicographically."""
+    alphas = itertools.product(range(max_order + 1), repeat=dim)
+    return sorted((a for a in alphas if sum(a) <= max_order), key=lambda a: (sum(a), a))
 
 
 def _forward_difference(values: np.ndarray, axis: int, times: int) -> np.ndarray:
@@ -318,35 +303,27 @@ def validate_symbol(
 
 
 def _class_weight(declared_class, base, alpha, dim):
-    """(weight, singular-stencil mask) for the class's derivative bounds."""
+    """(weight, singular-stencil mask) for the class's derivative bounds.
 
-    def span_crosses_zero(coord, order):
-        return (coord <= 0) & (coord + order >= 0)
-
+    The lattice axes fall into groups: the first axis for 'marcinkiewicz',
+    all axes for 'coifman_meyer', and one group per parameter for
+    'biparameter' (axes 0, 2 and 1, 3 on four axes).  The weight is
+    prod_g ||t_g||^{|alpha_g|}; a stencil is singular when, in some group,
+    its span crosses 0 on every axis (its box contains the group's origin).
+    """
     if declared_class == "marcinkiewicz":
-        t = base[0]
-        singular = span_crosses_zero(t, alpha[0])
-        weight = np.abs(t, dtype=float) ** alpha[0]
-        return weight, singular
-    if declared_class == "coifman_meyer":
-        norm = np.sqrt(sum(b.astype(float) ** 2 for b in base))
-        # the stencil box contains the origin iff every axis's span crosses 0
-        singular = np.logical_and.reduce(
-            [span_crosses_zero(b, a) for b, a in zip(base, alpha)]
-        )
-        weight = norm ** sum(alpha)
-        return weight, singular
-    # biparameter: weights per parameter group rho_1 = (axes 0, 2), rho_2 = (1, 3)
-    group1 = (0, 2) if dim == 4 else (0,)
-    group2 = (1, 3) if dim == 4 else (1,)
-    norm1 = np.sqrt(sum(base[i].astype(float) ** 2 for i in group1))
-    norm2 = np.sqrt(sum(base[i].astype(float) ** 2 for i in group2))
-    sing1 = np.logical_and.reduce([span_crosses_zero(base[i], alpha[i]) for i in group1])
-    sing2 = np.logical_and.reduce([span_crosses_zero(base[i], alpha[i]) for i in group2])
-    weight = norm1 ** sum(alpha[i] for i in group1) * norm2 ** sum(
-        alpha[i] for i in group2
-    )
-    return weight, sing1 | sing2
+        groups = [(0,)]
+    elif declared_class == "coifman_meyer":
+        groups = [tuple(range(dim))]
+    else:
+        groups = [(0, 2), (1, 3)] if dim == 4 else [(0,), (1,)]
+    weight, singular = 1.0, False
+    for group in groups:
+        norm = np.sqrt(sum(base[i].astype(float) ** 2 for i in group))
+        weight = weight * norm ** sum(alpha[i] for i in group)
+        crosses = [(base[i] <= 0) & (base[i] + alpha[i] >= 0) for i in group]
+        singular = singular | np.logical_and.reduce(crosses)
+    return weight, singular
 
 
 # --- per-scale coefficient tables -------------------------------------------
@@ -364,12 +341,8 @@ class SymbolCoefficients:
 
     def decay_products(self) -> np.ndarray:
         """(|n|+1)^p |c_n| per entry (per-axis product in 2D)."""
-        if self.table.ndim == 1:
-            return (np.abs(self.frequencies) + 1.0) ** self.decay_target * np.abs(
-                self.table
-            )
-        w1 = (np.abs(self.frequencies) + 1.0) ** self.decay_target
-        return np.abs(self.table) * np.outer(w1, w1)
+        w = (np.abs(self.frequencies) + 1.0) ** self.decay_target
+        return np.abs(self.table) * functools.reduce(np.multiply.outer, [w] * self.table.ndim)
 
 
 #: cutoff for the linear symbol decomposition: 1 on [1/16, 1/4], 0 outside
@@ -396,36 +369,32 @@ def symbol_coefficients(
     (|n1|+1)^-5 (|n2|+1)^-5.
     """
     k = scale
-    if m.lattice_dim == 1:
-        # >= points_per_unit samples per unit frequency, with a floor so the
-        # cutoff's transition regions (width 2^k/32) keep >= 32 samples
-        q = max(max(8, points_per_unit) * 2**k, 1024)
-        x = (np.arange(q) - q // 2) * (2.0**k / q)
-        vals = m(x) * _linear_cutoff(x * 2.0**-k)
-        # c_{k,n} = 2^-k int m_k(x) e^{2 pi i n 2^-k x} dx: the Riemann sum on
-        # the centered samples is e^{-i pi n} ifft(vals)[n]
-        freqs = np.arange(-(q // 2), q - q // 2)
-        table = np.fft.fftshift(np.fft.ifft(vals)) * (-1.0) ** freqs
-        if n_max is not None:
-            keep = np.abs(freqs) <= n_max
-            freqs, table = freqs[keep], table[keep]
+    dim = m.lattice_dim
+    if dim not in (1, 2):
+        raise ValueError("coefficient tables cover 1D and 2D symbol lattices")
+    # >= points_per_unit samples per unit frequency, with a floor so the
+    # cutoff's transition regions keep >= 32 samples (1D, width 2^k/32) or
+    # >= 8 across the narrowest one (2D)
+    q = max(max(8 if dim == 1 else 4, points_per_unit) * 2**k, 1024 * dim)
+    x = (np.arange(q) - q // 2) * (2.0**k / q)
+    axes = np.meshgrid(*[x] * dim, indexing="ij", sparse=True)
+    if dim == 1:
+        cut = _linear_cutoff(x * 2.0**-k)
+    else:
+        cut = _bilinear_cutoff(int(block or 1), *(t * 2.0**-k for t in axes))
+    vals = m(*axes) * cut
+    # c_n = 2^-kd int m_k(x) e^{2 pi i n.x 2^-k} dx: the Riemann sum on the
+    # centered samples is e^{-i pi sum(n)} ifftn(vals)[n]
+    freqs = np.arange(-(q // 2), q - q // 2)
+    sign = functools.reduce(np.multiply.outer, [(-1.0) ** freqs] * dim)
+    table = np.fft.fftshift(np.fft.ifftn(vals)) * sign
+    if n_max is not None:
+        keep = np.abs(freqs) <= n_max
+        table = table[np.ix_(*[keep] * dim)]
+        freqs = freqs[keep]
+    if dim == 1:
         return SymbolCoefficients((k,), (), freqs, table, 4.0)
-    if m.lattice_dim == 2:
-        a = int(block or 1)
-        # floor keeps >= 8 samples across the narrowest cutoff transition
-        q = max(max(4, points_per_unit) * 2**k, 2048)
-        x = (np.arange(q) - q // 2) * (2.0**k / q)
-        cut = _bilinear_cutoff(a, x[:, None] * 2.0**-k, x[None, :] * 2.0**-k)
-        vals = m(x[:, None], x[None, :]) * cut
-        freqs = np.arange(-(q // 2), q - q // 2)
-        sign = (-1.0) ** freqs
-        table = np.fft.fftshift(np.fft.ifft2(vals)) * np.outer(sign, sign)
-        if n_max is not None:
-            keep = np.abs(freqs) <= n_max
-            table = table[np.ix_(keep, keep)]
-            freqs = freqs[keep]
-        return SymbolCoefficients((k,), (a,), freqs, table, 5.0)
-    raise ValueError("coefficient tables cover 1D and 2D symbol lattices")
+    return SymbolCoefficients((k,), (int(block or 1),), freqs, table, 5.0)
 
 
 # the trilinear split's per-block supports (after 2^-k scaling): the strictly
@@ -463,17 +432,9 @@ def reassembly_residual(
 
 def trilinear_pairing_check(f: GridFunction, g: GridFunction, h: GridFunction):
     """(lattice sum, grid integral, gap) for sum f_hat(s) g_hat(t) h_hat(-s-t)."""
-    n = f.sizes[0]
-    band = n // 4
-    fspec = _check_band(f, band, "f")
-    gspec = _check_band(g, band, "g")
-    hspec = fourier_coefficients(h)
-    _check_band(h, n // 2 - 1, "h")
-    s = np.arange(-band, band + 1)
-    fs = np.array([fspec.coefficient(int(v)) for v in s])
-    gs = np.array([gspec.coefficient(int(v)) for v in s])
-    mesh_s, mesh_t = np.meshgrid(s, s, indexing="ij")
-    hvals = hspec.coefficients[(-(mesh_s + mesh_t)) % n]
-    lattice = complex(np.sum(np.outer(fs, gs) * hvals))
+    product = _lattice_spectrum(lambda *st: 1.0, f, g, min(f.sizes) // 4)
+    hspec = _check_band(h, min(f.sizes) // 2 - 1, "h").coefficients
+    # h_hat(-u) at the grid index of every output frequency u
+    lattice = complex(np.sum(product * hspec[np.ix_(*(-np.arange(n) % n for n in h.sizes))]))
     integral = (f * g * h).mean()
     return lattice, integral, abs(lattice - integral)

@@ -1,28 +1,29 @@
 """Single- and bi-parameter bilinear paraproducts with shift variants.
 
 The model operator pairs two inputs against adapted-family members over all
-dyadic intervals (rectangles in two parameters) and re-expands against a
-third family,
+dyadic boxes (intervals in one parameter, rectangles in two) and re-expands
+against a third family,
 
-    T(f, g) = sum_I eps_I |I|^{-1/2} <phi^1_I, f> <phi^2_I, g> phi^3_I,
+    T(f, g) = sum_R eps_R |R|^{-1/2} <phi^1_{R^{n_1}}, f> <phi^2_{R^{n_2}}, g> phi^3_R,
 
-with L2-normalized members.  One slot per parameter axis may carry mean; the
-others must be zero-mean.  Coefficients are read off ``transform.analysis``
-per scale (scale pair in two parameters), and the output is one
-``transform.synthesis``: every scale's weight train is convolved in
-frequency and the sum is inverted once.
+with L2-normalized members; ``average_alpha`` also averages over the
+fractional shifts R_alpha.  One slot per parameter axis may carry mean; the
+others must be zero-mean.  Both parameter counts run on the one d-axis
+multilinear sum of ``squares``: every scale tuple's weight train is built
+from ``transform.analysis`` lags and the output is one
+``transform.synthesis``.  ``paraproduct_pairing`` pairs the same trains with
+the third input's lags, so it is <T(f, g), h> by construction.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridFunction
-from .squares import _member_starts, _prototypes
-from .transform import analysis, synthesis
+from .squares import _multilinear, _prototypes, _scale_lists, _trains
+from .transform import analysis
 
 
 @dataclass
@@ -31,6 +32,8 @@ class ParaproductSpec:
 
     ``mean_slots`` holds the slot (1, 2, or 3) allowed to carry mean per
     parameter axis; families at the other slots must be zero-mean.
+    ``shifts`` = (n_1, n_2) moves input slot i's boxes by n_i intervals on
+    every axis.
     """
 
     params: int
@@ -48,11 +51,7 @@ class ParaproductSpec:
             raise ValueError("one mean slot per parameter axis")
         if any(a not in (1, 2, 3) for a in self.mean_slots):
             raise ValueError("mean slots are labelled 1, 2, 3")
-        if self.params == 1:
-            fams = (self.families,)
-        else:
-            fams = self.families
-        for axis, axis_fams in enumerate(fams):
+        for axis, axis_fams in enumerate(self.axes):
             if len(axis_fams) != 3:
                 raise ValueError("three families per parameter axis")
             for slot, fam in enumerate(axis_fams, start=1):
@@ -64,82 +63,53 @@ class ParaproductSpec:
         if self.shifts and len(self.shifts) != 2:
             raise ValueError("shifts apply to the two input slots")
 
+    @property
+    def axes(self) -> tuple:
+        """The family triple of every parameter axis."""
+        return (self.families,) if self.params == 1 else self.families
+
+
+def _terms(spec: ParaproductSpec, *inputs):
+    """(per-slot per-axis families, shifts, alpha offsets) for the inputs' grids."""
+    if any(u.log_sizes != tuple(fams[0].log_size for fams in spec.axes) for u in inputs):
+        raise ValueError("input grids do not match the family grids")
+    offsets = spec.max_offsets if spec.average_alpha else None
+    return list(zip(*spec.axes)), spec.shifts or (0, 0), offsets
+
+
+def _paraproduct(spec: ParaproductSpec, f: GridFunction, g: GridFunction) -> GridFunction:
+    slots, shifts, offsets = _terms(spec, f, g)
+    return GridFunction(
+        f.log_sizes, _multilinear((f.values, g.values), slots, spec.epsilon, shifts, offsets)
+    )
+
 
 def paraproduct_1p(spec: ParaproductSpec, f: GridFunction, g: GridFunction) -> GridFunction:
     """Single-parameter bilinear paraproduct (optionally shifted/averaged)."""
     if spec.params != 1:
         raise ValueError("spec is not single-parameter")
-    fam1, fam2, fam3 = spec.families
-    for fam, h in ((fam1, f), (fam2, g)):
-        if h.dims != 1 or h.log_sizes[0] != fam.log_size:
-            raise ValueError("input grid does not match the family grid")
-    log_size = fam1.log_size
-    size = 2**log_size
-    n1, n2 = spec.shifts if spec.shifts else (0, 0)
-    scales = sorted(set(fam1.scales) & set(fam2.scales) & set(fam3.scales))
-
-    def trains():
-        lags_f = analysis(f.values, [_prototypes(fam1, scales)])
-        lags_g = analysis(g.values, [_prototypes(fam2, scales)])
-        for k, lf, lg in zip(scales, lags_f, lags_g):
-            step = 2 ** (log_size - k)
-            at = _member_starts(k, step, spec.max_offsets if spec.average_alpha else None)
-            cf = lf[(at + n1 * step) % size]
-            cg = lg[(at + n2 * step) % size]
-            # |I|^{-1/2} and three L2 normalizations against the raw lag and
-            # member scalings leave a net 2^-k on the lag products
-            train = np.zeros(size, dtype=np.complex128)
-            train[at] = spec.epsilon.at(k)[:, None] * cf * cg * 2.0**-k / at.shape[1]
-            yield train
-
-    return GridFunction(f.log_sizes, synthesis(trains(), [_prototypes(fam3, scales)]))
+    return _paraproduct(spec, f, g)
 
 
 def paraproduct_2p(spec: ParaproductSpec, f: GridFunction, g: GridFunction) -> GridFunction:
-    """Bi-parameter bilinear paraproduct over dyadic rectangles."""
+    """Bi-parameter bilinear paraproduct over dyadic rectangles (optionally shifted/averaged)."""
     if spec.params != 2:
         raise ValueError("spec is not bi-parameter")
-    (ax1_fams, ax2_fams) = spec.families
-    if f.dims != 2 or g.dims != 2:
-        raise ValueError("bi-parameter paraproducts take 2D inputs")
-    log1, log2 = ax1_fams[0].log_size, ax2_fams[0].log_size
-    if f.log_sizes != (log1, log2) or g.log_sizes != (log1, log2):
-        raise ValueError("input grids do not match the family grids")
-    scales = [
-        sorted(set.intersection(*(set(fam.scales) for fam in axis_fams)))
-        for axis_fams in spec.families
-    ]
-
-    def slot(i):
-        return [_prototypes(axis_fams[i], ks) for axis_fams, ks in zip(spec.families, scales)]
-
-    def trains():
-        lags = zip(analysis(f.values, slot(0)), analysis(g.values, slot(1)))
-        for (k1, k2), (lf, lg) in zip(itertools.product(*scales), lags):
-            lattice = np.s_[:: 2 ** (log1 - k1), :: 2 ** (log2 - k2)]
-            train = np.zeros(f.sizes, dtype=np.complex128)
-            train[lattice] = (
-                spec.epsilon.at(k1, k2) * lf[lattice] * lg[lattice] * 2.0 ** (-(k1 + k2))
-            )
-            yield train
-
-    return GridFunction(f.log_sizes, synthesis(trains(), slot(2)))
+    return _paraproduct(spec, f, g)
 
 
 def paraproduct_pairing(
     spec: ParaproductSpec, f: GridFunction, g: GridFunction, h: GridFunction
 ) -> complex:
-    """<T(f, g), h> computed directly from the three coefficient fields."""
-    if spec.params != 1:
-        raise ValueError("pairing helper covers the single-parameter case")
-    fams = spec.families
-    log_size = fams[0].log_size
-    scales = sorted(set.intersection(*(set(fam.scales) for fam in fams)))
-    lags = [analysis(u.values, [_prototypes(fam, scales)]) for u, fam in zip((f, g, h), fams)]
-    total = 0.0 + 0.0j
-    for k, lf, lg, lh in zip(scales, *lags):
-        step = 2 ** (log_size - k)
-        # three normalized coefficients against |I|^{-1/2}: net factor 2^-k
-        products = spec.epsilon.at(k) * lf[::step] * lg[::step] * lh[::step]
-        total += complex(np.sum(products) * 2.0**-k)
-    return total
+    """<T(f, g), h> = sum over samples of T's weight trains times h's lags.
+
+    The lags of h against the output prototype are the pairings
+    <phi^3_{R_alpha}, h> up to the member scaling the trains already carry,
+    so this is <T(f, g), h> by construction, with shifts and alpha-averaging
+    and on either parameter count.
+    """
+    slots, shifts, offsets = _terms(spec, f, g, h)
+    scales = _scale_lists(zip(*slots))
+    trains = _trains((f.values, g.values), slots[:2], spec.epsilon, shifts, scales, offsets)
+    lags_h = analysis(h.values, _prototypes(slots[2], scales))
+    return complex(sum(np.sum(train * lag) for train, lag in zip(trains, lags_h)))

@@ -68,7 +68,7 @@ def probe_norm(
         in_specs=in_specs,
         out_spec=out_spec,
         ratios=ratios,
-        max_ratio=max(ratios) if ratios else 0.0,
+        max_ratio=float(np.max(ratios)) if ratios else 0.0,
         dual_estimate=dual,
         seed=seed,
     )

@@ -1,14 +1,21 @@
 """Littlewood-Paley square functions, linearizations, and hybrid operators.
 
-Every operator here reads the pairings <phi_I, f> off the lag arrays of
+Every operator here reads the pairings <phi_R, f> off the lag arrays of
 ``transform.analysis`` (one forward FFT of f per call, one inverse FFT per
-scale, or per scale tuple on several axes): dyadic, shifted and fractionally
-shifted intervals read their lags by striding.  Sums of members go back
-through ``transform.synthesis``.
+scale tuple): dyadic, shifted and fractionally shifted boxes read their lags
+by striding.  Two private builders serve every axis count: ``_envelope``
+aggregates |<phi_R, f>| / |R| into square functions, hybrids and the adapted
+maximal function, and ``_trains`` turns the pairings of one or more inputs
+into the weight trains of a multilinear sum over boxes, which
+``transform.synthesis`` inverts once (the sign linearization here, the
+paraproducts in ``paraproducts``).  Both walk the scale tuples of
+``_scale_lists``, which drops scales at which a prototype is identically
+zero.  Scalars eps_R live in one ``EpsilonField`` keyed by scale tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -20,66 +27,57 @@ from .transform import analysis, synthesis
 
 
 @dataclass
-class EpsilonSequence:
-    """Per-interval scalars, normalized to |eps| <= 1 on construction."""
+class EpsilonField:
+    """Per-box scalars eps_R keyed by scale tuples, normalized to |eps| <= 1.
 
-    scales: dict[int, np.ndarray] = field(default_factory=dict)
+    ``scales[(k_1, ..., k_d)]`` has shape (2^k_1, ..., 2^k_d), one scalar per
+    dyadic box of that scale tuple; an int key k stands for (k,).  The
+    random and constant fields fill every tuple of the given scale ranges in
+    ``itertools.product`` order.
+    """
+
+    scales: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.scales = {(k if isinstance(k, tuple) else (k,)): v for k, v in self.scales.items()}
         sup = max((np.abs(v).max() for v in self.scales.values() if v.size), default=0.0)
         if sup > 1.0:
             self.scales = {k: v / sup for k, v in self.scales.items()}
 
-    def at(self, k: int) -> np.ndarray:
-        return self.scales[k]
+    def at(self, *ks: int) -> np.ndarray:
+        return self.scales[ks]
 
     @staticmethod
-    def constant(value, k_range) -> "EpsilonSequence":
-        return EpsilonSequence({k: np.full(2**k, value, dtype=complex) for k in k_range})
+    def _fill(k_ranges, draw) -> "EpsilonField":
+        boxes = itertools.product(*k_ranges)
+        return EpsilonField({ks: draw(tuple(2**k for k in ks)) for ks in boxes})
 
     @staticmethod
-    def rademacher(seed: int, k_range) -> "EpsilonSequence":
+    def constant(value, *k_ranges) -> "EpsilonField":
+        return EpsilonField._fill(k_ranges, lambda shape: np.full(shape, value, dtype=complex))
+
+    @staticmethod
+    def rademacher(seed: int, *k_ranges) -> "EpsilonField":
         rng = np.random.default_rng(seed)
-        return EpsilonSequence(
-            {k: rng.choice([-1.0, 1.0], size=2**k).astype(complex) for k in k_range}
+        return EpsilonField._fill(
+            k_ranges, lambda shape: rng.choice([-1.0, 1.0], size=shape).astype(complex)
         )
 
-
-@dataclass
-class EpsilonField2D:
-    """Per-rectangle scalars indexed by scale pairs."""
-
-    scales: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        sup = max((np.abs(v).max() for v in self.scales.values() if v.size), default=0.0)
-        if sup > 1.0:
-            self.scales = {k: v / sup for k, v in self.scales.items()}
-
-    def at(self, k1: int, k2: int) -> np.ndarray:
-        return self.scales[(k1, k2)]
-
     @staticmethod
-    def rademacher(seed: int, ks1, ks2) -> "EpsilonField2D":
-        rng = np.random.default_rng(seed)
-        return EpsilonField2D(
+    def separable(*fields: "EpsilonField") -> "EpsilonField":
+        """eps_{R_1 x R_2 x ...} = prod_i eps^i_{R_i}, one field per group of axes."""
+        return EpsilonField(
             {
-                (k1, k2): rng.choice([-1.0, 1.0], size=(2**k1, 2**k2)).astype(complex)
-                for k1 in ks1
-                for k2 in ks2
+                sum(keys, ()): functools.reduce(
+                    np.multiply.outer, (f.scales[key] for f, key in zip(fields, keys))
+                )
+                for keys in itertools.product(*(f.scales for f in fields))
             }
         )
 
-    @staticmethod
-    def separable(eps1: EpsilonSequence, eps2: EpsilonSequence) -> "EpsilonField2D":
-        return EpsilonField2D(
-            {
-                (k1, k2): np.outer(eps1.at(k1), eps2.at(k2))
-                for k1 in eps1.scales
-                for k2 in eps2.scales
-            }
-        )
 
+# the one- and two-parameter names of the field
+EpsilonSequence = EpsilonField2D = EpsilonField
 
 
 def _alpha_offsets(step: int, max_offsets: int = 64) -> np.ndarray:
@@ -88,18 +86,49 @@ def _alpha_offsets(step: int, max_offsets: int = 64) -> np.ndarray:
     return np.arange(0, step, stride)
 
 
-def _member_starts(k: int, step: int, max_offsets: int | None = None) -> np.ndarray:
-    """Start sample j step + o of the scale-k member on I_j (row j) shifted by o.
+def _boxes(ks, sizes, max_offsets: int | None = None) -> list[np.ndarray]:
+    """Per axis, the start sample j step + o of the scale-k member on I_j.
 
-    The columns are the fractional shifts o of ``_alpha_offsets``, or o = 0
-    alone when ``max_offsets`` is None.
+    Row j is the dyadic interval, the columns the fractional shifts o of
+    ``_alpha_offsets``, or o = 0 alone when ``max_offsets`` is None.
     """
-    offsets = np.zeros(1, dtype=int) if max_offsets is None else _alpha_offsets(step, max_offsets)
-    return (np.arange(2**k) * step)[:, None] + offsets
+    boxes = []
+    for k, size in zip(ks, sizes):
+        step = size >> k
+        offsets = [0] if max_offsets is None else _alpha_offsets(step, max_offsets)
+        boxes.append((np.arange(2**k) * step)[:, None] + offsets)
+    return boxes
 
 
-def _prototypes(fam: AdaptedFamily, scales) -> list[np.ndarray]:
-    return [fam.prototype_values(k) for k in scales]
+def _read(lags: np.ndarray, boxes, shifts) -> np.ndarray:
+    """Lags on the boxes moved by n_a intervals per axis, shape (2^k_1, #o_1, ...)."""
+    index = [
+        ((box + n * (size // len(box))) % size).ravel()
+        for box, n, size in zip(boxes, shifts, lags.shape)
+    ]
+    return lags[np.ix_(*index)].reshape([m for box in boxes for m in box.shape])
+
+
+def _prototypes(fams, scale_lists) -> list[list[np.ndarray]]:
+    """Per axis, the samples of that axis's family at each of its scales."""
+    return [[fam.prototype_values(k) for k in ks] for fam, ks in zip(fams, scale_lists)]
+
+
+def _scale_lists(axes) -> list[list[int]]:
+    """Per axis, the scales all of the axis's families share, in order.
+
+    A scale where some family's prototype is identically zero (``from_pou_1``
+    at k = 1, 2 and ``from_pou_2`` at k = 1) adds exact zeros to every sum
+    and sup here, so it is left out.
+    """
+    return [
+        [
+            k
+            for k in sorted(set.intersection(*(set(fam.scales) for fam in fams)))
+            if all(fam.prototype_values(k).any() for fam in fams)
+        ]
+        for fams in axes
+    ]
 
 
 @dataclass
@@ -123,13 +152,11 @@ def coefficient_field(
     """
     if f.dims != 1 or f.log_sizes[0] != fam.log_size:
         raise ValueError("input grid does not match the family grid")
-    size = 2**fam.log_size
     scales = {}
-    for k, lags in zip(fam.scales, analysis(f.values, [_prototypes(fam, fam.scales)])):
-        step = 2 ** (fam.log_size - k)
-        offset = int(round(alpha * step)) % size
-        idx = (np.arange(2**k) + n) % 2**k
-        scales[k] = 2.0**-k * lags[(idx * step + offset) % size]
+    for k, lags in zip(fam.scales, analysis(f.values, _prototypes([fam], [fam.scales]))):
+        step = lags.size >> k
+        box = np.arange(2**k)[:, None] * step + int(round(alpha * step))
+        scales[k] = 2.0**-k * _read(lags, [box], (n,))[:, 0]
     return CoefficientField(fam, (n, alpha), scales)
 
 
@@ -142,20 +169,17 @@ def _envelope(f, fams, kind, shifts, max_offsets=None) -> np.ndarray:
     of ``_alpha_offsets`` per axis.  The aggregates run as the scale tuples
     arrive, so one lag array and one partial aggregate per axis are alive.
     """
-    scale_lists = [list(fam.scales) for fam in fams]
-    lag_arrays = analysis(f.values, [_prototypes(fam, ks) for fam, ks in zip(fams, scale_lists)])
+    scale_lists = _scale_lists((fam,) for fam in fams)
+    if not all(scale_lists):
+        return np.zeros(f.sizes)
+    lag_arrays = analysis(f.values, _prototypes(fams, scale_lists))
     partial = [None] * len(fams)
     for ks, lags in zip(itertools.product(*scale_lists), lag_arrays):
-        steps = [size >> k for size, k in zip(f.sizes, ks)]
-        reads, shape = [], []
-        for k, step, n, size in zip(ks, steps, shifts, f.sizes):
-            starts = _member_starts(k, step, max_offsets)
-            reads.append(((starts + n * step) % size).ravel())
-            shape += starts.shape
         # the members' 2^-k scalings cancel against |R|
-        amp = np.abs(lags[np.ix_(*reads)]).reshape(shape).max(axis=tuple(range(1, len(shape), 2)))
-        for axis, step in enumerate(steps):
-            amp = np.repeat(amp, step, axis=axis)
+        amp = np.abs(_read(lags, _boxes(ks, f.sizes, max_offsets), shifts))
+        amp = amp.max(axis=tuple(range(1, 2 * len(ks), 2)))
+        for axis, k in enumerate(ks):
+            amp = np.repeat(amp, f.sizes[axis] >> k, axis=axis)
         for axis in reversed(range(len(fams))):
             if kind[axis] == "S":
                 amp = amp**2
@@ -170,6 +194,50 @@ def _envelope(f, fams, kind, shifts, max_offsets=None) -> np.ndarray:
             amp = np.sqrt(partial[axis]) if kind[axis] == "S" else partial[axis]
             partial[axis] = None
     return amp
+
+
+def _trains(inputs, fams, eps, shifts, scales, max_offsets=None):
+    """Yield the weight train of every scale tuple of ``scales``, in product order.
+
+    Input i pairs against the tensor members of its per-axis families
+    ``fams[i]`` on the boxes R^{n_i}_alpha, moved by n_i = ``shifts[i]``
+    intervals on every axis.  At the start sample of each box R_alpha the
+    train holds
+
+        eps_R prod_i lag_i[R^{n_i}_alpha] 2^-(k_1 + ... + k_d) / #alpha,
+
+    the weight of the output prototype there: with L2-normalized members the
+    factor |R|^{-(m-1)/2} of an m-input form leaves a net 2^-sum(k) on the
+    raw lags for any m.  ``max_offsets`` averages over the fractional shifts
+    alpha of ``_boxes`` (their product over the axes); without it alpha = 0.
+    """
+    sizes = inputs[0].shape
+    streams = [analysis(u, _prototypes(axis_fams, scales)) for u, axis_fams in zip(inputs, fams)]
+    for ks, *lags in zip(itertools.product(*scales), *streams):
+        boxes = _boxes(ks, sizes, max_offsets)
+        weight = eps.at(*ks).reshape([m for k in ks for m in (2**k, 1)])
+        for lag, n in zip(lags, shifts):
+            weight = weight * _read(lag, boxes, (n,) * len(ks))
+        count = np.prod([box.shape[1] for box in boxes])
+        train = np.zeros(sizes, dtype=np.complex128)
+        train[np.ix_(*(box.ravel() for box in boxes))] = (
+            weight * 2.0 ** -sum(ks) / count
+        ).reshape([box.size for box in boxes])
+        yield train
+
+
+def _multilinear(inputs, slots, eps, shifts, max_offsets=None) -> np.ndarray:
+    """sum_R eps_R |R|^{-(m-1)/2} prod_i <phi^i_{R^{n_i}_alpha}, f_i> phi^out_{R_alpha}.
+
+    ``slots[i]`` holds the per-axis families of input i and ``slots[-1]``
+    those of the output member; members are L2-normalized, and the sum is
+    averaged over alpha when ``max_offsets`` is given (see ``_trains``).
+    """
+    scales = _scale_lists(zip(*slots))
+    if not all(scales):
+        return np.zeros(inputs[0].shape, dtype=np.complex128)
+    trains = _trains(inputs, slots[:-1], eps, shifts, scales, max_offsets)
+    return synthesis(trains, _prototypes(slots[-1], scales))
 
 
 def square_function(
@@ -200,35 +268,26 @@ def linearize(
     f: GridFunction,
     fam1: AdaptedFamily,
     fam2: AdaptedFamily,
-    eps: EpsilonSequence,
+    eps: EpsilonField,
     n: int = 0,
     average_alpha: bool = False,
     max_offsets: int = 64,
 ) -> GridFunction:
-    """T_eps f = sum_I eps_I <phi^1_I, f> phi^2_I with normalized members.
+    """T_eps f = sum_I eps_I <phi^1_{I^n}, f> phi^2_I with normalized members.
 
-    With ``average_alpha`` the inner family is shifted by ``n`` and the sum
-    is averaged over the grid-representable fractional shifts of both
-    families (the discretization of the integral over alpha).
+    With ``average_alpha`` the sum is averaged over the grid-representable
+    fractional shifts of both families (the discretization of the integral
+    over alpha).
     """
     for fam in (fam1, fam2):
         if not fam.zero_mean:
             raise ValueError("linearization requires zero-mean families")
         if f.dims != 1 or f.log_sizes[0] != fam.log_size:
             raise ValueError("input grid does not match the family grid")
-    size = 2**fam1.log_size
-    scales = sorted(set(fam1.scales) & set(fam2.scales))
-
-    def trains():
-        for k, lags in zip(scales, analysis(f.values, [_prototypes(fam1, scales)])):
-            step = 2 ** (fam1.log_size - k)
-            at = _member_starts(k, step, max_offsets if average_alpha else None)
-            # eps <phi^1_norm, f> phi^2_norm = eps 2^-k lag psi^2(x - j step - o)
-            train = np.zeros(size, dtype=np.complex128)
-            train[at] = 2.0**-k * eps.at(k)[:, None] * lags[(at + n * step) % size] / at.shape[1]
-            yield train
-
-    return GridFunction(f.log_sizes, synthesis(trains(), [_prototypes(fam2, scales)]))
+    offsets = max_offsets if average_alpha else None
+    return GridFunction(
+        f.log_sizes, _multilinear((f.values,), [(fam1,), (fam2,)], eps, (n,), offsets)
+    )
 
 
 def hybrid(

@@ -20,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bumps import build_double_pou, build_pou, make_adapted_family
+from .bumps import build_double_pou, build_pou, make_adapted_family, partition_residuals
 from .corpus import generate_corpus
 from .gfio import RunConfig
-from .grid import GridFunction, NormSpec, lp_norm, norm
+from .grid import GridFunction, NormSpec, lp_norm
 from .maximal import cz_decompose, maximal
 from .multipliers import (
     apply_1d,
@@ -39,6 +39,7 @@ from .probes import (
     fs_sum_counterexample,
     khinchine_experiment,
     llogl_maximal_experiment,
+    probe_norm,
 )
 from .rearrange import (
     optimal_l1_linf_split,
@@ -46,7 +47,7 @@ from .rearrange import (
     two_star,
     zygmund_norm,
 )
-from .squares import EpsilonField2D, EpsilonSequence, hybrid, linearize, square_function
+from .squares import EpsilonField, hybrid, linearize, square_function
 
 
 @dataclass
@@ -75,28 +76,16 @@ def _scale_count(config: RunConfig, log_size=None) -> int:
 
 def check_partition_gate(config: RunConfig) -> CheckResult:
     K = min(_scale_count(config), 7)
-    fam1, fam2 = build_pou(K, config.log_size)
-    band = 2 ** (K - 4)
-    n = np.arange(-band, band + 1)
-    total = np.zeros(n.shape)
-    for k in range(1, K + 1):
-        total = total + fam1.hat(k, n) * fam2.hat(k, -n)
-    residual = float(np.abs(total - (n != 0)).max())
-
-    system = build_double_pou(K, config.log_size)
-    band2 = system.identity_band
-    n1, n2 = np.meshgrid(np.arange(-band2, band2 + 1), np.arange(-band2, band2 + 1))
-    total2 = system.triple_sum(n1, n2)
-    residual2 = float(np.abs(total2 - ((n1 != 0) | (n2 != 0))).max())
+    res = partition_residuals(*build_pou(K, config.log_size), build_double_pou(K, config.log_size))
+    residual, residual2 = res["residual"], res["residual_double"]
     passed = residual <= 1e-10 and residual2 <= 1e-9
     return CheckResult(
         "partition_gate",
         passed,
-        f"pou residual {residual:.2e} (<=1e-10) on 0<|n|<={band}; "
-        f"double residual {residual2:.2e} (<=1e-9) on max|n|<={band2}",
+        f"pou residual {residual:.2e} (<=1e-10) on 0<|n|<={res['band']}; "
+        f"double residual {residual2:.2e} (<=1e-9) on max|n|<={res['band_double']}",
         budget=5.0,
-        details={"residual": residual, "residual_double": residual2,
-                 "band": band, "band_double": band2},
+        details=res,
     )
 
 
@@ -422,19 +411,6 @@ def check_coefficient_decay(config: RunConfig) -> CheckResult:
 # --- check 12: boundedness stability sweeps ----------------------------------
 
 
-def _sweep_ratio(op, corpus_members, in_specs, out_spec):
-    worst = 0.0
-    for item in corpus_members:
-        inputs = item if isinstance(item, tuple) else (item,)
-        denom = 1.0
-        for h, spec in zip(inputs, in_specs):
-            denom *= norm(h, spec)
-        if denom == 0:
-            continue
-        worst = max(worst, norm(op(*inputs), out_spec) / denom)
-    return worst
-
-
 def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
     l2 = NormSpec.lp(2.0)
     l1 = NormSpec.lp(1.0)
@@ -451,28 +427,28 @@ def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
         fam3 = make_adapted_family("lower_bounded", K, log_size)
         funcs = corpus.functions()
         pairs = list(zip(funcs, funcs[1:] + funcs[:1]))
-        ratios[(log_size, "S")] = _sweep_ratio(
-            lambda f: square_function(f, fam1), funcs, (l2,), l2
-        )
-        eps = EpsilonSequence.rademacher(config.seed, range(1, K + 1))
-        ratios[(log_size, "T_eps")] = _sweep_ratio(
-            lambda f: linearize(f, fam1, fam2, eps), funcs, (l2,), l2
-        )
+        ratios[(log_size, "S")] = probe_norm(
+            lambda f: square_function(f, fam1), "S", (l2,), l2, funcs
+        ).max_ratio
+        eps = EpsilonField.rademacher(config.seed, range(1, K + 1))
+        ratios[(log_size, "T_eps")] = probe_norm(
+            lambda f: linearize(f, fam1, fam2, eps), "T_eps", (l2,), l2, funcs
+        ).max_ratio
         spec1 = ParaproductSpec(
             params=1, families=(fam1, fam2, fam3), mean_slots=(3,), epsilon=eps
         )
-        ratios[(log_size, "para1")] = _sweep_ratio(
-            lambda f, g: paraproduct_1p(spec1, f, g), pairs, (l2, l2), l1
-        )
+        ratios[(log_size, "para1")] = probe_norm(
+            lambda f, g: paraproduct_1p(spec1, f, g), "para1", (l2, l2), l1, pairs
+        ).max_ratio
         if log_size == config.log_size:
             # epsilon-draw stability at the base size
             constants = []
             for s in range(20):
-                eps_s = EpsilonSequence.rademacher(s, range(1, K + 1))
+                eps_s = EpsilonField.rademacher(s, range(1, K + 1))
                 constants.append(
-                    _sweep_ratio(
-                        lambda f: linearize(f, fam1, fam2, eps_s), funcs, (l2,), l2
-                    )
+                    probe_norm(
+                        lambda f: linearize(f, fam1, fam2, eps_s), "T_eps", (l2,), l2, funcs
+                    ).max_ratio
                 )
             spread = (max(constants) - min(constants)) / max(constants)
 
@@ -493,10 +469,10 @@ def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
         fam_b = make_adapted_family("from_pou_2", K2, log2d)
         funcs2 = [d.sample(log2d) for d in descriptors2]
         pairs2 = list(zip(funcs2, funcs2[1:] + funcs2[:1]))
-        ratios[(log2d, "SS")] = _sweep_ratio(
-            lambda f: hybrid(f, (fam, fam), "SS"), funcs2, (l2,), l2
-        )
-        eps2 = EpsilonField2D.rademacher(
+        ratios[(log2d, "SS")] = probe_norm(
+            lambda f: hybrid(f, (fam, fam), "SS"), "SS", (l2,), l2, funcs2
+        ).max_ratio
+        eps2 = EpsilonField.rademacher(
             config.seed, range(1, K2 + 1), range(1, K2 + 1)
         )
         spec2 = ParaproductSpec(
@@ -505,9 +481,9 @@ def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
             mean_slots=(3, 3),
             epsilon=eps2,
         )
-        ratios[(log2d, "para2")] = _sweep_ratio(
-            lambda f, g: paraproduct_2p(spec2, f, g), pairs2, (l2, l2), l1
-        )
+        ratios[(log2d, "para2")] = probe_norm(
+            lambda f, g: paraproduct_2p(spec2, f, g), "para2", (l2, l2), l1, pairs2
+        ).max_ratio
 
     for op, lo_size in (
         ("S", config.log_size),
@@ -562,26 +538,23 @@ def check_tensor_factorizations(config: RunConfig) -> CheckResult:
         s2 = square_function(GridFunction((log2d,), b), fam).values
         worst_ss = max(worst_ss, float(np.abs(ss - np.outer(s1, s2)).max()))
 
-        eps1 = EpsilonSequence.rademacher(1, range(1, K2 + 1))
-        eps2 = EpsilonSequence.rademacher(2, range(1, K2 + 1))
+        triple = (fam, fam_b, fam)
+        eps = [EpsilonField.rademacher(s, range(1, K2 + 1)) for s in (1, 2)]
         spec2 = ParaproductSpec(
-            params=2,
-            families=((fam, fam_b, fam), (fam, fam_b, fam)),
-            mean_slots=(3, 3),
-            epsilon=EpsilonField2D.separable(eps1, eps2),
+            params=2, families=(triple, triple), mean_slots=(3, 3),
+            epsilon=EpsilonField.separable(*eps),
         )
         c, d = rng.normal(size=n), rng.normal(size=n)
-        g2 = GridFunction((log2d, log2d), np.outer(c, d))
-        out = paraproduct_2p(spec2, f2, g2).values
-        s_ax1 = ParaproductSpec(
-            params=1, families=(fam, fam_b, fam), mean_slots=(3,), epsilon=eps1
+        out = paraproduct_2p(spec2, f2, GridFunction((log2d, log2d), np.outer(c, d))).values
+        t1, t2 = (
+            paraproduct_1p(
+                ParaproductSpec(params=1, families=triple, mean_slots=(3,), epsilon=e),
+                GridFunction((log2d,), u),
+                GridFunction((log2d,), v),
+            ).values
+            for e, u, v in zip(eps, (a, b), (c, d))
         )
-        s_ax2 = ParaproductSpec(
-            params=1, families=(fam, fam_b, fam), mean_slots=(3,), epsilon=eps2
-        )
-        t1 = paraproduct_1p(s_ax1, GridFunction((log2d,), a), GridFunction((log2d,), c))
-        t2 = paraproduct_1p(s_ax2, GridFunction((log2d,), b), GridFunction((log2d,), d))
-        worst_para = max(worst_para, float(np.abs(out - np.outer(t1.values, t2.values)).max()))
+        worst_para = max(worst_para, float(np.abs(out - np.outer(t1, t2)).max()))
     passed = worst_ss <= 1e-9 and worst_para <= 1e-9
     return CheckResult(
         "tensor_factorizations", passed,

@@ -132,6 +132,33 @@ class TestCLI:
         assert main(["square", "--mode", "plain", "--in", str(path), "--out", str(out)]) == 0
         assert read_grid_function(out).dims == 1
 
+    def test_square_with_only_zero_prototype_scales_prints_zero(self, sample, capsys):
+        # from_pou_1 vanishes at k = 1, 2, so the K = 2 window has no member
+        _, path = sample
+        assert main(["square", "--scales", "2", "--in", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("||Sf||_2 = 0 (scale window k=1..2)")
+
+    def test_hybrid_on_1d_input_is_one_line_error(self, sample, capsys):
+        _, path = sample
+        assert main(["hybrid", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2D" in err and err.count("\n") == 1
+
+    def test_hybrid_honours_scales(self, tmp_path, capsys):
+        from torusharmonics.bumps import make_adapted_family
+        from torusharmonics.squares import hybrid
+
+        rng = np.random.default_rng(4)
+        f = GridFunction((7, 7), rng.normal(size=(128, 128)))
+        path, out = tmp_path / "f.json", tmp_path / "h.json"
+        write_grid_function(f, path)
+        assert main(["hybrid", "--kind", "MS", "--scales", "3", "--in", str(path),
+                     "--out", str(out)]) == 0
+        assert "k=1..3 x k=1..3" in capsys.readouterr().out
+        fam = make_adapted_family("from_pou_1", 3, 7)
+        expect = hybrid(f, (fam, fam), "MS").values
+        assert np.abs(read_grid_function(out).values - expect).max() <= 1e-12
+
     def test_cz_command(self, sample, capsys):
         _, path = sample
         assert main(["cz", "--alpha", "8.0", "--in", str(path)]) == 0

@@ -90,6 +90,18 @@ class TestProbeNorm:
         )
         assert report.max_ratio <= 4.0
 
+    def test_nan_ratio_propagates_to_max(self):
+        # a NaN ratio must reach max_ratio, where a finiteness gate sees it
+        funcs = generate_corpus(3, 8).functions()[:3]
+
+        def nan_on_second(f):
+            nan_on_second.calls += 1
+            return GridFunction(f.log_sizes, f.values * (np.nan if nan_on_second.calls == 2 else 1.0))
+
+        nan_on_second.calls = 0
+        report = probe_norm(nan_on_second, "nan", (NormSpec.lp(2.0),), NormSpec.lp(2.0), funcs)
+        assert np.isnan(report.ratios[1]) and np.isnan(report.max_ratio)
+
     def test_weak_dualization_agrees(self):
         corpus = generate_corpus(3, 9)
         p = 1.0

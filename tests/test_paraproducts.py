@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,10 +126,13 @@ class TestParaproduct1P:
 
     def test_pairing_identity(self, spec1):
         f, g, h = random_grid(8), random_grid(9), random_grid(10)
-        out = paraproduct_1p(spec1, f, g)
-        lhs = inner_product(out, h)
-        rhs = paraproduct_pairing(spec1, f, g, h)
-        assert abs(lhs - rhs) < 1e-10
+        shifted = dataclasses.replace(spec1, shifts=(1, 2))
+        averaged = dataclasses.replace(spec1, average_alpha=True)
+        for spec in (spec1, shifted, averaged):
+            out = paraproduct_1p(spec, f, g)
+            lhs = inner_product(out, h)
+            rhs = paraproduct_pairing(spec, f, g, h)
+            assert abs(lhs - rhs) < 1e-10
 
     def test_holder_chain_majorization(self, fams):
         # |<T(f,g), h>| <= int M'f S^2 g S^3 h for the mean slot a = 1
@@ -259,6 +264,25 @@ class TestParaproduct2P:
             out = paraproduct_2p(spec2, f, g)
             worst = max(worst, lp_norm(out, 1.0) / (lp_norm(f, 2.0) * lp_norm(g, 2.0)))
         assert worst < 10.0
+
+    def test_pairing_identity(self, fams2d):
+        spec = ParaproductSpec(
+            params=2,
+            families=fams2d,
+            mean_slots=(3, 3),
+            epsilon=EpsilonField2D.rademacher(5, range(1, K2D + 1), range(1, K2D + 1)),
+            shifts=(1, 2),
+            average_alpha=True,
+            max_offsets=2,
+        )
+        rng = np.random.default_rng(15)
+        n = 2**L2D
+        f, g, h = (
+            GridFunction((L2D, L2D), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            for _ in range(3)
+        )
+        lhs = inner_product(paraproduct_2p(spec, f, g), h)
+        assert abs(lhs - paraproduct_pairing(spec, f, g, h)) < 1e-10 * max(1.0, abs(lhs))
 
 
 class TestBiParameterMajorization:

@@ -7,6 +7,7 @@ from torusharmonics.grid import GridFunction, inner_product, lp_norm
 from torusharmonics.maximal import adapted_maximal, maximal
 from torusharmonics.squares import (
     CoefficientField,
+    EpsilonField,
     EpsilonField2D,
     EpsilonSequence,
     GridFunction3,
@@ -235,6 +236,38 @@ class TestHybrid:
             hybrid(f, (fam_bad, fam2d), "SS")
         hybrid(f, (fam_bad, fam2d), "MS")  # M slot tolerates mean
 
+    def test_zero_prototype_scales_are_skipped(self, fam2d, monkeypatch):
+        # from_pou_1 is identically zero at k = 1, 2: of the 25 scale pairs
+        # at K = 5 only the 9 with k1, k2 >= 3 cost an inverse FFT
+        rng = np.random.default_rng(21)
+        f = GridFunction((8, 8), rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256)))
+        ifftn, calls = np.fft.ifftn, []
+        monkeypatch.setattr(np.fft, "ifftn", lambda *a, **kw: calls.append(1) or ifftn(*a, **kw))
+        ss = hybrid(f, (fam2d, fam2d), "SS").values
+        monkeypatch.undo()
+        assert len(calls) == 9
+        # member by member over all 25 scale pairs: SS^2 = sum_R A_R^2 chi_R
+        # with A_R = |<phi_R, f>| / |R|, phi_R = phi_I (x) phi_J
+        rows = {
+            k: np.array([fam2d.member_values(DyadicInterval(k, j)) for j in range(2**k)])
+            for k in fam2d.scales
+        }
+        total = np.zeros((256, 256))
+        for k1 in fam2d.scales:
+            for k2 in fam2d.scales:
+                pairings = rows[k1] @ np.conj(f.values) @ rows[k2].T / 256**2
+                amp = np.abs(pairings) * 2.0 ** (k1 + k2)
+                total += np.repeat(np.repeat(amp**2, 256 >> k1, axis=0), 256 >> k2, axis=1)
+        assert np.abs(ss - np.sqrt(total)).max() <= 1e-12 * np.abs(ss).max()
+
+    def test_axis_without_nonzero_scale_gives_zeros(self):
+        # from_pou_1 at K = 2 has no nonzero prototype
+        fam = make_adapted_family("from_pou_1", 2, 8)
+        f = random_grid(22, 8)
+        assert (square_function(f, fam).values == 0).all()
+        f2 = GridFunction((8, 8), np.outer(f.values, f.values))
+        assert (hybrid(f2, (fam, make_adapted_family("from_pou_1", 5, 8)), "MS").values == 0).all()
+
 
 @pytest.fixture(scope="module")
 def fam3():
@@ -242,6 +275,14 @@ def fam3():
 
 
 class TestHybrid3:
+    def test_only_nonzero_scale_triple_is_transformed(self, fam3, monkeypatch):
+        # from_pou_1 at K = 3 is nonzero at k = 3 only: 1 of 27 scale triples
+        rng = np.random.default_rng(23)
+        f = GridFunction3(rng.normal(size=(64, 64, 64)))
+        ifftn, calls = np.fft.ifftn, []
+        monkeypatch.setattr(np.fft, "ifftn", lambda *a, **kw: calls.append(1) or ifftn(*a, **kw))
+        out = hybrid3(f, (fam3, fam3, fam3), "SSS")
+        assert len(calls) == 1 and np.isfinite(out.values).all()
 
     def test_sss_annihilates_constants(self, fam3):
         f = GridFunction3(np.full((64, 64, 64), 2.0, dtype=complex))
@@ -300,6 +341,27 @@ class TestEpsilon:
         e2 = EpsilonSequence.rademacher(2, range(1, 3))
         field = EpsilonField2D.separable(e1, e2)
         assert field.at(2, 1).shape == (4, 2)
+
+    def test_one_field_keyed_by_scale_tuples(self):
+        assert EpsilonSequence is EpsilonField and EpsilonField2D is EpsilonField
+        eps = EpsilonField({2: np.ones(4), (1, 2): np.ones((2, 4))})
+        assert set(eps.scales) == {(2,), (1, 2)}
+        assert eps.at(2).shape == (4,) and eps.at(1, 2).shape == (2, 4)
+        three = EpsilonField.constant(0.5, range(1, 3), range(1, 2), range(2, 3))
+        assert three.at(2, 1, 2).shape == (4, 2, 4) and len(three.scales) == 2
+
+    def test_rademacher_draws_in_product_order(self):
+        # the stream of sequential per-scale draws, 1D and 2D (row-major)
+        rng = np.random.default_rng(9)
+        one = EpsilonField.rademacher(9, range(1, 4))
+        for k in range(1, 4):
+            assert (one.at(k) == rng.choice([-1.0, 1.0], size=2**k)).all()
+        rng = np.random.default_rng(9)
+        two = EpsilonField.rademacher(9, range(1, 3), range(2, 4))
+        for k1 in range(1, 3):
+            for k2 in range(2, 4):
+                draw = rng.choice([-1.0, 1.0], size=(2**k1, 2**k2))
+                assert (two.at(k1, k2) == draw).all()
 
 
 class TestMemberPairDecay:

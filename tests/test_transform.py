@@ -77,25 +77,36 @@ def test_paraproduct_2p_matches_sum_over_rectangles():
     pou1, pou2, lower = (make_adapted_family(kind, K, L) for kind in KINDS)
     fams2d = ((pou1, pou2, lower), (pou2, pou1, pou1))
     eps = EpsilonField2D.rademacher(6, range(1, K + 1), range(1, K + 1))
-    spec = ParaproductSpec(params=2, families=fams2d, mean_slots=(3, 3), epsilon=eps)
     rng = np.random.default_rng(7)
     n = 2**L
     f = GridFunction((L, L), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     g = GridFunction((L, L), rng.normal(size=(n, n)))
-    out = paraproduct_2p(spec, f, g)
+    # shifts (n_1, n_2) move input slot i's rectangle by n_i intervals on both
+    # axes; max_offsets averages over the product of per-axis fractional shifts
+    for shifts, average_alpha in (((0, 0), False), ((1, 2), False), ((1, 2), True)):
+        spec = ParaproductSpec(
+            params=2, families=fams2d, mean_slots=(3, 3), epsilon=eps,
+            shifts=shifts, average_alpha=average_alpha, max_offsets=2,
+        )
+        out = paraproduct_2p(spec, f, g)
 
-    # sum_R eps_R |R|^{-1/2} <phi^1_R, f> <phi^2_R, g> phi^3_R, L2-normalized
-    direct = np.zeros((n, n), dtype=complex)
-    for k1, k2 in itertools.product(range(1, K + 1), repeat=2):
-        ks = (k1, k2)
-        norm = 2.0 ** ((k1 + k2) / 2)  # |R|^{-1/2}, and each member's L2 factor
-        for j1, j2 in itertools.product(range(2**k1), range(2**k2)):
-            starts = (j1 * n >> k1, j2 * n >> k2)
-            members = [
-                GridFunction((L, L), norm * _tensor_member(_prototypes(axis_fams), ks, starts))
-                for axis_fams in zip(*fams2d)
-            ]
-            cf = inner_product(members[0], f)
-            cg = inner_product(members[1], g)
-            direct += eps.at(k1, k2)[j1, j2] * norm * cf * cg * members[2].values
-    assert np.abs(out.values - direct).max() < 1e-10
+        # sum_R eps_R |R|^{-1/2} <phi^1_{R^n1}, f> <phi^2_{R^n2}, g> phi^3_R,
+        # L2-normalized, averaged over the shifts R_alpha
+        direct = np.zeros((n, n), dtype=complex)
+        for k1, k2 in itertools.product(range(1, K + 1), repeat=2):
+            ks = (k1, k2)
+            norm = 2.0 ** ((k1 + k2) / 2)  # |R|^{-1/2}, and each member's L2 factor
+            steps = (n >> k1, n >> k2)
+            offsets = [range(0, s, s // 2) if average_alpha else range(1) for s in steps]
+            count = len(offsets[0]) * len(offsets[1])
+            for j1, j2 in itertools.product(range(2**k1), range(2**k2)):
+                for o1, o2 in itertools.product(*offsets):
+                    members = []
+                    for slot, shift in enumerate((*shifts, 0)):
+                        starts = ((j1 + shift) * steps[0] + o1, (j2 + shift) * steps[1] + o2)
+                        protos = _prototypes([fams[slot] for fams in fams2d])
+                        members.append(norm * _tensor_member(protos, ks, starts))
+                    cf = inner_product(GridFunction((L, L), members[0]), f)
+                    cg = inner_product(GridFunction((L, L), members[1]), g)
+                    direct += eps.at(k1, k2)[j1, j2] * norm * cf * cg * members[2] / count
+        assert np.abs(out.values - direct).max() < 1e-10
