@@ -12,7 +12,6 @@ from .bumps import (
     DoubleBumpSystem,
     PlateauProfile,
     build_double_pou,
-    build_plateau,
     build_pou,
     decompose_adapted,
     make_adapted_family,
@@ -69,7 +68,6 @@ from .multipliers import (
 from .paraproducts import ParaproductSpec, paraproduct_1p, paraproduct_2p
 from .probes import (
     dual_weak_estimate,
-    fs_counterexample,
     fs_growth_counterexample,
     fs_sum_counterexample,
     khinchine_experiment,

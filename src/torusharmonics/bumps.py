@@ -68,22 +68,6 @@ class PlateauProfile:
         fall = smooth_step((self.d - x) / (self.d - self.c))
         return rise * fall
 
-    def mirrored(self):
-        """Even profile q(|t|) built from this one (for annulus cutoffs)."""
-        return _MirroredProfile(self)
-
-
-@dataclass(frozen=True)
-class _MirroredProfile:
-    base: PlateauProfile
-
-    def __call__(self, x):
-        return self.base(np.abs(np.asarray(x, dtype=float)))
-
-
-def build_plateau(a: float, b: float, c: float, d: float) -> PlateauProfile:
-    return PlateauProfile(a, b, c, d)
-
 
 def _spectral_prototype(hat, log_size: int) -> GridFunction:
     """GridFunction with Fourier coefficients hat(n) on the represented band."""
@@ -221,17 +205,6 @@ class DoubleBumpSystem:
 
     def prototype(self, a: int, i: int, k: int) -> GridFunction:
         return self.prototypes[(a, i, k)]
-
-    def family(self, a: int, i: int, label: str = "") -> AdaptedFamily:
-        """The (a, i) slot as an adapted family (zero-mean iff a != i)."""
-        protos = {k: self.prototypes[(a, i, k)] for k in range(1, self.scale_count + 1)}
-        return AdaptedFamily(
-            log_size=self.log_size,
-            prototypes=protos,
-            zero_mean=(a != i),
-            label=label or f"double[{a},{i}]",
-            hat=lambda k, t, a=a, i=i: self.hats[(a, i)](k, t),
-        )
 
     def triple_sum(self, n1, n2):
         """sum_a sum_k of the hat triple products at integer pairs (n1, n2)."""

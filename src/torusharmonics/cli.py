@@ -41,7 +41,7 @@ from .multipliers import (
 from .paraproducts import ParaproductSpec, paraproduct_1p, paraproduct_2p
 from .rearrange import rearrangement, zygmund_norm
 from .squares import EpsilonField, hybrid, square_function
-from .suite import run_suite
+from .suite import cz_gates, run_suite
 
 CONFIG_ENV = "TORUSHARMONICS_CONFIG"
 MAXIMAL_KINDS = ("hl", "dyadic", "shifted", "shifted_sup", "strong", "directional")
@@ -254,22 +254,11 @@ def _dispatch(args, config: RunConfig) -> int:
     if args.command == "cz":
         f = _read_input(args)
         dec = cz_decompose(f, args.alpha)
-        norm1 = float(np.abs(f.values).mean())
-        good_l2_sq = float(np.mean(np.abs(dec.good.values) ** 2))
-        bad_checks = all(
-            abs(b.mean()) <= 1e-12
-            and float(np.abs(b.values).mean()) <= 4 * args.alpha * iv.length + 1e-12
-            for iv, b in dec.bad_pieces
-        )
         payload = {
             "alpha": args.alpha,
             "intervals": [str(iv) for iv in dec.intervals],
             "total_length": dec.total_length,
-            "checks": {
-                "total_length_ok": dec.total_length <= norm1 / args.alpha + 1e-12,
-                "good_l2_ok": good_l2_sq <= 5 * args.alpha * norm1 + 1e-10,
-                "bad_pieces_ok": bad_checks,
-            },
+            "checks": {g.name: g.passed for g in cz_gates(f, dec)},
         }
         text = json.dumps(payload, indent=2)
         if args.outfile:

@@ -53,11 +53,6 @@ class DyadicInterval:
     def center(self) -> float:
         return (self.index + 0.5) * 2.0**-self.level
 
-    def parent(self) -> "DyadicInterval":
-        if self.level == 1:
-            raise ValueError("level-1 intervals have no dyadic parent")
-        return DyadicInterval(self.level - 1, self.index // 2)
-
     def ancestor(self, j: int) -> "DyadicInterval":
         """The unique dyadic ancestor with length 2^j times this one's."""
         if not 1 <= j <= self.level - 1:
@@ -205,10 +200,6 @@ class DyadicRectangle:
 
     axis1: DyadicInterval
     axis2: DyadicInterval
-
-    @property
-    def area(self) -> float:
-        return self.axis1.length * self.axis2.length
 
     def indicator(self, log_sizes) -> np.ndarray:
         ind1 = np.zeros(2 ** log_sizes[0], dtype=bool)

@@ -9,7 +9,7 @@ reading it back needs the shape supplied by the caller (the CLI exposes
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,14 +85,12 @@ def read_grid_function(path, fmt: str = "json", log_sizes=None) -> GridFunction:
 
 @dataclass
 class RunConfig:
-    """Grid, seed, corpus, and tolerance settings shared by the CLI tools."""
+    """Grid, seed and output settings shared by the CLI tools."""
 
     log_size: int = 10
     log_size_2d: int = 8
     scale_margin: int = 3
     seed: int = 11
-    corpus_kwargs: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
     out_dir: str = "verify-out"
     mc_samples: int = 100_000
 
@@ -100,9 +98,6 @@ class RunConfig:
         for L in (self.log_size, self.log_size_2d):
             if not MIN_LOG_SIZE <= L <= MAX_LOG_SIZE:
                 raise ValueError(f"grid exponent {L} outside [{MIN_LOG_SIZE}, {MAX_LOG_SIZE}]")
-        for key, value in self.tolerances.items():
-            if not value > 0:
-                raise ValueError(f"tolerance {key!r} must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -135,17 +130,10 @@ def _coerce(value: str):
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    data: dict = {}
-    if path is not None:
-        raw = parse_config_file(path)
-        for key in ("log_size", "log_size_2d", "seed", "out_dir", "mc_samples", "scale_margin"):
-            if key in raw:
-                data[key] = raw.pop(key)
-        tolerances = {
-            k.removeprefix("tol_"): v for k, v in raw.items() if k.startswith("tol_")
-        }
-        if tolerances:
-            data["tolerances"] = tolerances
+    data = parse_config_file(path) if path is not None else {}
+    unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise FileFormatError(f"unknown configuration key(s): {', '.join(unknown)}")
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**data)

@@ -60,9 +60,6 @@ class GridFunction:
     def sizes(self) -> tuple[int, ...]:
         return tuple(2**L for L in self.log_sizes)
 
-    def map(self, func) -> "GridFunction":
-        return GridFunction(self.log_sizes, func(self.values))
-
     def __add__(self, other):
         return GridFunction(self.log_sizes, self.values + _values_like(self, other))
 

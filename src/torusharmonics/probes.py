@@ -128,15 +128,19 @@ class KhinchineReport:
     samples: int
     seed: int
 
-    def l2_within(self, k_sigma: float = 3.0) -> bool:
-        return abs(self.l2_moment - self.l2_expected) <= k_sigma * self.l2_stderr
+    @property
+    def l2_sigmas(self) -> float:
+        """Distance of the L2 moment from its expectation, in standard errors."""
+        return abs(self.l2_moment - self.l2_expected) / self.l2_stderr
 
-    def tails_below_bound(self) -> bool:
-        return all(
-            self.tail_wilson_upper[t] <= self.tail_bounds[t] or
-            self.tail_frequencies[t] <= self.tail_bounds[t]
-            for t in self.tail_bounds
-        )
+    @property
+    def tail_excess(self) -> float:
+        """Worst excess of a tail over its bound 4e^(-t^2/4), <= 0 iff each
+        tail's frequency or Wilson upper bound is below its bound."""
+        return float(np.max([
+            np.minimum(self.tail_wilson_upper[t], self.tail_frequencies[t]) - bound
+            for t, bound in self.tail_bounds.items()
+        ]))
 
 
 def khinchine_experiment(
@@ -187,7 +191,6 @@ class CounterexampleReport:
     label: str
     value: float
     bound: float
-    passed: bool
     details: dict = field(default_factory=dict)
 
 
@@ -216,7 +219,6 @@ def fs_sum_counterexample(n_pieces: int, log_size: int | None = None) -> Counter
         f"sum of {n_pieces} maximal bumps",
         value,
         bound,
-        value >= bound,
         {"n_pieces": n_pieces, "log_size": log_size},
     )
 
@@ -242,7 +244,6 @@ def fs_growth_counterexample(
         f"ell^{r} growth over {depth} dyadic bumps",
         value,
         bound,
-        value >= bound,
         {"depth": depth, "r": r, "log_size": log_size},
     )
 
@@ -292,31 +293,28 @@ def strong_maximal_endpoint_probe(corpus: Corpus) -> dict:
     return ratios
 
 
-def fs_counterexample(n_pieces: int, r: float, depth: int = 6):
-    """Both vector-maximal lower-bound constructions in one report pair."""
-    return fs_sum_counterexample(n_pieces), fs_growth_counterexample(depth, r)
-
-
 @dataclass
 class MaximalZygmundReport:
     norm_ratios: dict[str, float]
     curve_ratio_range: tuple[float, float]
     details: dict = field(default_factory=dict)
+    #: member name -> ((Mf)*, f*) step profiles
+    profiles: dict = field(default_factory=dict)
 
 
 def llogl_maximal_experiment(
     corpus: Corpus, t_lo: float = 1.0 / 64, t_hi: float = 0.5
 ) -> MaximalZygmundReport:
     """Compare ||Mf||_1 with the L log L norm and (Mf)* with f** pointwise."""
-    ratios = {}
-    lo, hi = math.inf, 0.0
+    ratios, profiles = {}, {}
+    lows, highs = [], []
     for name, f in corpus.members:
         mf = maximal(f, "hl")
         mf_l1 = lp_norm(mf, 1.0)
         zyg = zygmund_norm(f, 1, "closed_form")
         ratios[name] = mf_l1 / zyg
-        mf_profile = rearrangement(mf)
-        fstar2 = two_star(rearrangement(f))
+        mf_profile, f_profile = profiles[name] = rearrangement(mf), rearrangement(f)
+        fstar2 = two_star(f_profile)
         # (Mf)* is a step function and f** is continuous decreasing, so on
         # each step piece the ratio is monotone: its extremes over the window
         # sit at the clipped piece endpoints
@@ -326,6 +324,7 @@ def llogl_maximal_experiment(
                 continue
             lo_t = max(t0, t_lo)
             hi_t = min(t1, t_hi)
-            lo = min(lo, a_m / float(fstar2(np.array([lo_t if lo_t > 0 else t_lo]))[0]))
-            hi = max(hi, a_m / float(fstar2(np.array([hi_t]))[0]))
-    return MaximalZygmundReport(ratios, (lo, hi), {"t_window": (t_lo, t_hi)})
+            lows.append(a_m / float(fstar2(np.array([lo_t if lo_t > 0 else t_lo]))[0]))
+            highs.append(a_m / float(fstar2(np.array([hi_t]))[0]))
+    curve_range = (float(np.min(lows, initial=math.inf)), float(np.max(highs, initial=0.0)))
+    return MaximalZygmundReport(ratios, curve_range, {"t_window": (t_lo, t_hi)}, profiles)

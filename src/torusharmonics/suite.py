@@ -1,11 +1,13 @@
 """The registered verification checks and the suite runner.
 
-Each check implements one acceptance gate at its stated tolerance and
-runtime budget; ``run_suite`` executes them, prints one pass/fail line per
-check, writes per-check JSON plus a summary CSV, and reports overall
-success.  Empirical constants asserted here are either classical hard
-ceilings or stability statements across one resolution doubling; nothing is
-asserted about sharpness.
+Each check returns its ``Gate``s, one inequality ``observed op bound`` each,
+plus details; the verdict and the summary line derive from the gates, and
+every comparison fails on NaN.  ``run_suite`` executes the checks, adds each
+one's runtime budget as one more gate, prints one pass/fail line per check,
+writes per-check JSON plus a summary CSV, and reports overall success.
+Empirical constants asserted here are either classical hard ceilings or
+stability statements across one resolution doubling; nothing is asserted
+about sharpness.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,21 +53,64 @@ from .rearrange import (
 from .squares import EpsilonField, hybrid, linearize, square_function
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    passed: bool
-    summary: str
-    runtime: float = 0.0
-    budget: float = math.inf
-    details: dict = field(default_factory=dict)
+#: the comparisons a gate may make; each is False when the observed value is NaN
+_OPS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One inequality ``observed op bound`` that a check asserts."""
+
+    name: str
+    observed: float
+    bound: float
+    op: str = "<="
+
+    def __post_init__(self):
+        if self.op not in _OPS:
+            raise ValueError(f"unknown gate op {self.op!r}")
 
     @property
-    def ok(self) -> bool:
-        return self.passed and self.runtime <= self.budget
+    def passed(self) -> bool:
+        return bool(_OPS[self.op](self.observed, self.bound))
 
-    def row(self):
-        return [self.check_id, "pass" if self.ok else "FAIL", f"{self.runtime:.2f}s", self.summary]
+    def __str__(self) -> str:
+        verdict = "" if self.passed else " FAIL"
+        return f"{self.name} {self.observed:.4g} {self.op} {self.bound:.4g}{verdict}"
+
+
+def worst(gates) -> list[Gate]:
+    """One gate per (name, bound, op), holding the worst observed value.
+
+    The reduction propagates NaN, so one NaN observation fails the merged gate.
+    """
+    merged: dict = {}
+    for g in gates:
+        merged.setdefault((g.name, g.bound, g.op), []).append(g.observed)
+    return [
+        Gate(name, float((np.max if op in ("<=", "<") else np.min)(obs)), bound, op)
+        for (name, bound, op), obs in merged.items()
+    ]
+
+
+@dataclass
+class CheckResult:
+    """A check's gates and details; the verdict and summary derive from the gates."""
+
+    check_id: str
+    gates: list[Gate]
+    details: dict = field(default_factory=dict)
+    budget: float = math.inf
+    runtime: float = 0.0
+    crashed: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return not self.crashed and all(g.passed for g in self.gates)
+
+    @property
+    def summary(self) -> str:
+        return f"crashed: {self.crashed}" if self.crashed else "; ".join(map(str, self.gates))
 
 
 def _scale_count(config: RunConfig, log_size=None) -> int:
@@ -77,16 +123,11 @@ def _scale_count(config: RunConfig, log_size=None) -> int:
 def check_partition_gate(config: RunConfig) -> CheckResult:
     K = min(_scale_count(config), 7)
     res = partition_residuals(*build_pou(K, config.log_size), build_double_pou(K, config.log_size))
-    residual, residual2 = res["residual"], res["residual_double"]
-    passed = residual <= 1e-10 and residual2 <= 1e-9
-    return CheckResult(
-        "partition_gate",
-        passed,
-        f"pou residual {residual:.2e} (<=1e-10) on 0<|n|<={res['band']}; "
-        f"double residual {residual2:.2e} (<=1e-9) on max|n|<={res['band_double']}",
-        budget=5.0,
-        details=res,
-    )
+    gates = [
+        Gate(f"pou residual on 0<|n|<={res['band']}", res["residual"], 1e-10),
+        Gate(f"double residual on max|n|<={res['band_double']}", res["residual_double"], 1e-9),
+    ]
+    return CheckResult("partition_gate", gates, res, budget=5.0)
 
 
 # --- checks 2-3: vector-maximal counterexamples ------------------------------
@@ -94,25 +135,21 @@ def check_partition_gate(config: RunConfig) -> CheckResult:
 
 def check_fs_sum(config: RunConfig) -> CheckResult:
     reports = [fs_sum_counterexample(n) for n in (16, 64, 256)]
-    passed = all(r.passed for r in reports)
-    summary = "; ".join(
-        f"N={r.details['n_pieces']}: min sum {r.value:.3f} >= {r.bound:.3f}" for r in reports
-    )
     return CheckResult(
-        "fs_sum_counterexample", passed, summary, budget=30.0,
-        details={f"N{r.details['n_pieces']}": (r.value, r.bound) for r in reports},
+        "fs_sum_counterexample",
+        [Gate(f"N={r.details['n_pieces']}: min sum", r.value, r.bound, ">=") for r in reports],
+        {f"N{r.details['n_pieces']}": (r.value, r.bound) for r in reports},
+        budget=30.0,
     )
 
 
 def check_fs_growth(config: RunConfig) -> CheckResult:
     reports = [fs_growth_counterexample(6, r) for r in (2.0, 4.0)]
-    passed = all(r.passed for r in reports)
-    summary = "; ".join(
-        f"r={r.details['r']}: value {r.value:.4f} >= {r.bound:.4f}" for r in reports
-    )
     return CheckResult(
-        "fs_growth_counterexample", passed, summary, budget=5.0,
-        details={f"r{r.details['r']}": (r.value, r.bound) for r in reports},
+        "fs_growth_counterexample",
+        [Gate(f"r={r.details['r']}: value", r.value, r.bound, ">=") for r in reports],
+        {f"r{r.details['r']}": (r.value, r.bound) for r in reports},
+        budget=5.0,
     )
 
 
@@ -122,102 +159,94 @@ def check_fs_growth(config: RunConfig) -> CheckResult:
 def check_maximal_oracle(config: RunConfig) -> CheckResult:
     log_size = 10
     n = 2**log_size
+    i = 3 * n // 4
     half = GridFunction.from_callable(lambda x: (x < 0.5).astype(complex), (log_size,))
-    value = float(maximal(half, "hl").values[3 * n // 4].real)
-    point_ok = abs(value - 2.0 / 3.0) <= 2.0 / n
+    value = float(maximal(half, "hl").values[i].real)
 
     # independent oracle: direct mean over every window containing the point
     absvals = np.abs(half.values)
-    i = 3 * n // 4
-    ext = np.concatenate([absvals, absvals])
-    best = 0.0
-    csum = np.concatenate([[0.0], np.cumsum(ext)])
+    csum = np.concatenate([[0.0], np.cumsum(np.concatenate([absvals, absvals]))])
+    means = []
     for w in range(1, n + 1):
         starts = np.arange(i - w + 1, i + 1) % n
-        sums = csum[starts + w] - csum[starts]
-        best = max(best, float(sums.max()) / w)
-    oracle_ok = abs(value - best) < 1e-12
+        means.append((csum[starts + w] - csum[starts]).max() / w)
+    best = float(np.max(means))
 
-    corpus = generate_corpus(config.seed, config.log_size)
-    domination_ok = True
-    count = 0
-    for _, f in corpus.members * 5:
-        if count >= 100:
-            break
-        count += 1
+    members = generate_corpus(config.seed, config.log_size).members
+    gates = [
+        Gate("|M chi(3/4) - 2/3|", abs(value - 2.0 / 3.0), 2.0 / n),
+        Gate("|M chi(3/4) - window sweep|", abs(value - best), 1e-12, "<"),
+    ]
+    for _, f in members:
         md = maximal(f, "dyadic").values.real
         m = maximal(f, "hl").values.real
-        if not ((np.abs(f.values) <= md + 1e-12).all() and (md <= m + 1e-12).all()):
-            domination_ok = False
-            break
-    passed = point_ok and oracle_ok and domination_ok
+        gates += [
+            Gate(f"max(|f| - M_D f) on {len(members)} functions",
+                 np.max(np.abs(f.values) - md), 1e-12),
+            Gate("max(M_D f - Mf)", np.max(md - m), 1e-12),
+        ]
     return CheckResult(
-        "maximal_pointwise_oracle", passed,
-        f"M(chi)(3/4) = {value:.6f} vs 2/3 (tol {2.0/n:.2e}); sweep match "
-        f"{oracle_ok}; |f| <= M_D f <= Mf on {count} functions: {domination_ok}",
-        budget=30.0,
-        details={"point_value": value, "oracle_value": best},
+        "maximal_pointwise_oracle", worst(gates),
+        {"point_value": value, "oracle_value": best}, budget=30.0,
     )
 
 
 # --- check 5: Calderon-Zygmund invariants ------------------------------------
 
 
-def check_cz_invariants(config: RunConfig) -> CheckResult:
-    corpus = generate_corpus(config.seed, config.log_size)
-    rng = np.random.default_rng(config.seed + 100)
-    log_size = config.log_size
-    n_pairs = 0
-    failures = []
-    funcs = corpus.functions()
-    while n_pairs < 200:
-        f = funcs[n_pairs % len(funcs)]
-        norm1 = lp_norm(f, 1.0)
-        alpha = norm1 * float(rng.uniform(1.25, 8.0))
-        dec = cz_decompose(f, alpha)
-        n_pairs += 1
-        for i, a in enumerate(dec.intervals):
-            for b in dec.intervals[i + 1 :]:
-                if a.relate(b).value != "disjoint":
-                    failures.append("overlap")
-        if dec.total_length > norm1 / alpha + 1e-12:
-            failures.append("total length")
-        if lp_norm(dec.good, 2.0) ** 2 > 5.0 * alpha * norm1 + 1e-10:
-            failures.append("good L2")
-        for iv, b in dec.bad_pieces:
-            if abs(b.mean()) > 1e-12:
-                failures.append("bad mean")
-            if lp_norm(b, 1.0) > 4.0 * alpha * iv.length + 1e-12:
-                failures.append("bad L1")
-            sl = iv.grid_slice(log_size)
-            avg = float(np.abs(f.values[sl]).mean())
-            if not (alpha - 1e-12 < avg <= 2.0 * alpha + 1e-12):
-                failures.append("average window")
-    passed = not failures
-    return CheckResult(
-        "cz_invariants", passed,
-        f"200 (f, alpha) pairs; violations: {sorted(set(failures)) or 'none'}",
-        budget=10.0, details={"violations": failures[:10]},
+def cz_gates(f: GridFunction, dec) -> list[Gate]:
+    """The Calderon-Zygmund invariants of one decomposition ``dec`` of f."""
+    alpha = dec.threshold
+    norm1 = lp_norm(f, 1.0)
+    overlaps = sum(
+        a.relate(b).value != "disjoint"
+        for i, a in enumerate(dec.intervals)
+        for b in dec.intervals[i + 1 :]
     )
+    pieces = dec.bad_pieces
+    averages = np.array(
+        [np.abs(f.values[iv.grid_slice(f.log_sizes[0])]).mean() for iv, _ in pieces]
+    )
+    l1_excess = [lp_norm(b, 1.0) - 4.0 * alpha * iv.length for iv, b in pieces]
+    good_excess = lp_norm(dec.good, 2.0) ** 2 - 5.0 * alpha * norm1
+    return [
+        Gate("overlapping interval pairs", overlaps, 0),
+        Gate("total length - ||f||_1/alpha", dec.total_length - norm1 / alpha, 1e-12),
+        Gate("||g||_2^2 - 5 alpha ||f||_1", good_excess, 1e-10),
+        Gate("max |mean b_I|", np.max([abs(b.mean()) for _, b in pieces], initial=0.0), 1e-12),
+        Gate("max ||b_I||_1 - 4 alpha |I|", np.max(l1_excess, initial=-np.inf), 1e-12),
+        Gate("min avg_I |f| - alpha", np.min(averages - alpha, initial=np.inf), -1e-12, ">"),
+        Gate("max avg_I |f| - 2 alpha", np.max(averages - 2.0 * alpha, initial=-np.inf), 1e-12),
+    ]
+
+
+def check_cz_invariants(config: RunConfig) -> CheckResult:
+    funcs = generate_corpus(config.seed, config.log_size).functions()
+    rng = np.random.default_rng(config.seed + 100)
+    pairs = 200
+    gates = []
+    for k in range(pairs):
+        f = funcs[k % len(funcs)]
+        dec = cz_decompose(f, lp_norm(f, 1.0) * float(rng.uniform(1.25, 8.0)))
+        gates += cz_gates(f, dec)
+    return CheckResult("cz_invariants", worst(gates), {"pairs": pairs}, budget=10.0)
 
 
 # --- check 6: weak (1,1) ceiling ---------------------------------------------
 
 
 def check_weak11(config: RunConfig) -> CheckResult:
-    corpus = generate_corpus(config.seed, config.log_size)
-    worst = 0.0
-    for _, f in corpus.members:
-        m = maximal(f, "hl").values.real
-        norm1 = lp_norm(f, 1.0)
-        lams = np.unique(m)
-        for lam in lams[:-1]:
-            worst = max(worst, lam * float(np.mean(m > lam)) / norm1)
-    passed = worst <= 12.0 + 1e-9
+    ratios = []
+    for _, f in generate_corpus(config.seed, config.log_size).members:
+        m = np.sort(maximal(f, "hl").values.real)
+        # |{Mf > lambda}| at every level lambda the maximal function takes
+        above = m.size - np.searchsorted(m, m, side="right")
+        ratios.append(np.max(m * (above / m.size)) / lp_norm(f, 1.0))
+    ratio = float(np.max(ratios))
     return CheckResult(
-        "weak_1_1_ceiling", passed,
-        f"max lambda |{{Mf > lambda}}| / ||f||_1 = {worst:.4f} <= 12",
-        budget=10.0, details={"worst": worst},
+        "weak_1_1_ceiling",
+        [Gate("max lambda |{Mf > lambda}| / ||f||_1", ratio, 12.0 + 1e-9)],
+        {"worst": ratio}, budget=10.0,
     )
 
 
@@ -226,29 +255,28 @@ def check_weak11(config: RunConfig) -> CheckResult:
 
 def check_rearrangement(config: RunConfig) -> CheckResult:
     corpus = generate_corpus(config.seed, config.log_size)
-    problems = []
-    for name, f in corpus.members[:10]:
+    gates = []
+    for _, f in corpus.members[:10]:
         prof = rearrangement(f)
         absvals = np.abs(f.values)
         for lam in prof.values[:: max(1, len(prof.values) // 8)]:
-            if abs(prof.measure_above(lam) - float(np.mean(absvals > lam))) > 1e-15:
-                problems.append(f"equimeasurability {name}")
+            gap = abs(prof.measure_above(lam) - float(np.mean(absvals > lam)))
+            gates.append(Gate("equimeasurability gap", gap, 1e-15))
         for p in (1.0, 2.0, 4.0):
             a, b = prof.lp_norm(p), lp_norm(f, p)
-            if abs(a - b) > 1e-12 * max(1.0, b):
-                problems.append(f"lp {name}")
+            gates.append(Gate("relative L^p gap", abs(a - b) / np.maximum(1.0, b), 1e-12))
     one = GridFunction.constant(1.0, (config.log_size,))
     for n in range(5):
         for method in ("closed_form", "iterated"):
-            if abs(zygmund_norm(one, n, method) - 1.0) > 1e-6:
-                problems.append(f"unit n={n} {method}")
+            gap = abs(zygmund_norm(one, n, method) - 1.0)
+            gates.append(Gate("|Zygmund norm of 1 - 1|", gap, 1e-6))
     for frac in (0.25, 0.0625):
         ind = GridFunction.from_callable(
             lambda x: (x < frac).astype(complex), (config.log_size,)
         )
         expect = frac * (1.0 + math.log(1.0 / frac))
-        if abs(zygmund_norm(ind, 1, "closed_form") - expect) > 1e-10:
-            problems.append(f"indicator {frac}")
+        gap = abs(zygmund_norm(ind, 1, "closed_form") - expect)
+        gates.append(Gate("indicator Zygmund norm gap", gap, 1e-10))
     rng = np.random.default_rng(config.seed + 1)
     funcs = corpus.functions()
     for case in range(50):
@@ -256,14 +284,9 @@ def check_rearrangement(config: RunConfig) -> CheckResult:
         t = float(rng.uniform(0.01, 1.0))
         _, _, value = optimal_l1_linf_split(f, t)
         expect = t * float(two_star(rearrangement(f))(np.array([t]))[0])
-        if abs(value - expect) > 1e-12 * max(1.0, expect):
-            problems.append(f"split case {case}")
-    passed = not problems
-    return CheckResult(
-        "rearrangement_exactness", passed,
-        f"violations: {sorted(set(problems)) or 'none'}",
-        budget=5.0, details={"violations": problems[:10]},
-    )
+        gap = abs(value - expect) / np.maximum(1.0, expect)
+        gates.append(Gate("relative L1 + Linf split gap", gap, 1e-12))
+    return CheckResult("rearrangement_exactness", worst(gates), budget=5.0)
 
 
 # --- check 8: maximal / Zygmund equivalence ----------------------------------
@@ -271,33 +294,32 @@ def check_rearrangement(config: RunConfig) -> CheckResult:
 
 def check_maximal_zygmund(config: RunConfig) -> CheckResult:
     base = generate_corpus(config.seed, 9)
-    fine = base.resample(10)
     rep9 = llogl_maximal_experiment(base)
-    rep10 = llogl_maximal_experiment(fine)
-    drift = max(
+    rep10 = llogl_maximal_experiment(base.resample(10))
+    drift = float(np.max([
         abs(rep10.norm_ratios[k] - rep9.norm_ratios[k]) / rep9.norm_ratios[k]
         for k in rep9.norm_ratios
-    )
+    ]))
     # lower end against f*, exactly as the criterion's pointwise justification
     # (Mf >= f) supports; the f** ratio's lower end is recorded, its upper end
     # asserted (grid under-approximation of M dents the f** lower end on
     # few-cell features, see the decisions ledger)
-    star_lo = math.inf
-    for _, f in fine.members:
-        pm = rearrangement(maximal(f, "hl"))
-        pf = rearrangement(f)
-        ts = np.linspace(1.0 / 64, 0.5, 257)
+    ts = np.linspace(1.0 / 64, 0.5, 257)
+    star = []
+    for pm, pf in rep10.profiles.values():
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = pm(ts) / np.maximum(pf(ts), 1e-300)
-        star_lo = min(star_lo, float(ratio.min()))
+            star.append((pm(ts) / np.maximum(pf(ts), 1e-300)).min())
+    star_lo = float(np.min(star))
     lo, hi = rep10.curve_ratio_range
-    passed = star_lo >= 1.0 - 1e-9 and hi <= 16.0 and drift <= 0.10
+    gates = [
+        Gate("min (Mf)*/f*", star_lo, 1.0 - 1e-9, ">="),
+        Gate("max (Mf)*/f**", hi, 16.0),
+        Gate("||Mf||_1/||f||_LlogL drift", drift, 0.10),
+    ]
     return CheckResult(
-        "maximal_zygmund_equivalence", passed,
-        f"(Mf)*/f* >= {star_lo:.4f} (>=1); (Mf)*/f** in [{lo:.3f}, {hi:.3f}] "
-        f"(<=16); ||Mf||_1/||f||_LlogL drift {drift:.3%} (<10%)",
+        "maximal_zygmund_equivalence", gates,
+        {"star_ratio_min": star_lo, "curve_range": [lo, hi], "drift": drift},
         budget=60.0,
-        details={"star_ratio_min": star_lo, "curve_range": [lo, hi], "drift": drift},
     )
 
 
@@ -310,29 +332,23 @@ def check_khinchine(config: RunConfig) -> CheckResult:
         khinchine_experiment(a, samples=config.mc_samples, seed=config.seed + s)
         for s in range(3)
     ]
-    l2_ok = all(r.l2_within(3.0) for r in reports)
-    tails_ok = all(r.tails_below_bound() for r in reports)
-    brackets = {1.0: (0.70, 0.90), 4.0: (1.20, 1.45)}
-    bracket_ok = all(
-        brackets[p][0] <= r.p_norm_ratios[p] <= brackets[p][1]
-        for r in reports
-        for p in brackets
-    )
-    spread_ok = all(
-        (max(r.p_norm_ratios[p] for r in reports) - min(r.p_norm_ratios[p] for r in reports))
-        <= 0.05
-        for p in brackets
-    )
-    passed = l2_ok and tails_ok and bracket_ok and spread_ok
+    gates = [
+        Gate("max |L2 moment - expected| / stderr", np.max([r.l2_sigmas for r in reports]), 3.0),
+        Gate("max tail excess over 4e^(-t^2/4)", np.max([r.tail_excess for r in reports]), 0.0),
+    ]
+    for p, (lo, hi) in {1.0: (0.70, 0.90), 4.0: (1.20, 1.45)}.items():
+        ratios = np.array([r.p_norm_ratios[p] for r in reports])
+        gates += [
+            Gate(f"min p={p:g} ratio", ratios.min(), lo, ">="),
+            Gate(f"max p={p:g} ratio", ratios.max(), hi),
+            Gate(f"p={p:g} ratio spread over draws", ratios.max() - ratios.min(), 0.05),
+        ]
     r0 = reports[0]
     return CheckResult(
-        "khinchine", passed,
-        f"L2 moment {r0.l2_moment:.4f} ~ {r0.l2_expected:.4f} (3 sigma); tails "
-        f"<= 4e^(-t^2/4): {tails_ok}; p-ratios {r0.p_norm_ratios} in brackets, "
-        f"seed-stable: {spread_ok}",
+        "khinchine", gates,
+        {"l2": [r.l2_moment for r in reports],
+         "tails": r0.tail_frequencies, "bounds": r0.tail_bounds},
         budget=30.0,
-        details={"l2": [r.l2_moment for r in reports],
-                 "tails": r0.tail_frequencies, "bounds": r0.tail_bounds},
     )
 
 
@@ -345,29 +361,29 @@ def check_multiplier_identities(config: RunConfig) -> CheckResult:
     n = 2**log_size
     rng = np.random.default_rng(config.seed)
 
-    def random_band(seed_offset):
+    def random_band():
         coeffs = np.zeros(n, dtype=complex)
         idx = rng.integers(-(n // 8), n // 8 + 1, size=8)
         coeffs[idx % n] = rng.normal(size=8) + 1j * rng.normal(size=8)
         return GridFunction((log_size,), np.fft.ifft(coeffs * n))
 
-    worst_prod = 0.0
-    worst_tri = 0.0
+    gates = []
     for _ in range(5):
-        f, g, h = random_band(0), random_band(1), random_band(2)
+        f, g, h = random_band(), random_band(), random_band()
         out = apply_bilinear(reg["bilinear_constant"], f, g)
-        worst_prod = max(worst_prod, float(np.abs(out.values - f.values * g.values).max()))
-        worst_tri = max(worst_tri, trilinear_pairing_check(f, g, h)[2])
+        gates += [
+            Gate("|Lambda_1(f,g) - fg|", np.abs(out.values - f.values * g.values).max(), 1e-10),
+            Gate("trilinear gap", trilinear_pairing_check(f, g, h)[2], 1e-10),
+        ]
     cos = GridFunction.from_callable(lambda x: np.cos(2 * np.pi * x), (log_size,))
     sin = np.sin(2 * np.pi * np.arange(n) / n)
     hilbert_err = float(np.abs(apply_1d(reg["hilbert"], cos).values - sin).max())
-    passed = worst_prod <= 1e-10 and worst_tri <= 1e-10 and hilbert_err <= 1e-12
+    product, trilinear = worst(gates)
     return CheckResult(
-        "multiplier_identities", passed,
-        f"|Lambda_1(f,g) - fg| {worst_prod:.2e} (<=1e-10); Hilbert cos->sin "
-        f"{hilbert_err:.2e}; trilinear gap {worst_tri:.2e} (<=1e-10)",
+        "multiplier_identities",
+        [product, Gate("Hilbert cos->sin", hilbert_err, 1e-12), trilinear],
+        {"product": product.observed, "hilbert": hilbert_err, "trilinear": trilinear.observed},
         budget=5.0,
-        details={"product": worst_prod, "hilbert": hilbert_err, "trilinear": worst_tri},
     )
 
 
@@ -376,14 +392,12 @@ def check_multiplier_identities(config: RunConfig) -> CheckResult:
 
 def check_coefficient_decay(config: RunConfig) -> CheckResult:
     reg = symbol_registry()
-    uniform_ok = True
-    worst_res = 0.0
-    spans = {}
+    gates, residuals, spans = [], [], {}
     for name in ("hilbert", "oscillatory"):
         maxima = []
         for k in range(1, 8):
             table = symbol_coefficients(reg[name], k, n_max=512)
-            maxima.append(float(table.decay_products().max()))
+            maxima.append(table.decay_products().max())
             lo_f, hi_f = 2 ** (k - 4), 2 ** (k - 2)
             if lo_f >= 1:
                 # truncate the series below the quadrature band so the
@@ -395,16 +409,13 @@ def check_coefficient_decay(config: RunConfig) -> CheckResult:
                 annulus = np.concatenate(
                     [np.arange(lo_f, hi_f + 1), -np.arange(lo_f, hi_f + 1)]
                 )
-                worst_res = max(worst_res, reassembly_residual(reg[name], dense, annulus))
-        spans[name] = (min(maxima), max(maxima))
-        if max(maxima) > 2.0 * min(maxima):
-            uniform_ok = False
-    passed = uniform_ok and worst_res <= 1e-6
+                residuals.append(reassembly_residual(reg[name], dense, annulus))
+        lo, hi = spans[name] = (float(np.min(maxima)), float(np.max(maxima)))
+        gates.append(Gate(f"{name} (|n|+1)^4 |c| max/min over k<=7", hi / lo, 2.0))
+    residual = float(np.max(residuals))
+    gates.append(Gate("truncated-series reassembly residual", residual, 1e-6))
     return CheckResult(
-        "coefficient_decay", passed,
-        f"(|n|+1)^4 |c| spans {spans} (within 2x across k<=7); truncated-series "
-        f"reassembly residual {worst_res:.2e} (<=1e-6)",
-        budget=30.0, details={"spans": spans, "residual": worst_res},
+        "coefficient_decay", gates, {"spans": spans, "residual": residual}, budget=30.0
     )
 
 
@@ -414,7 +425,6 @@ def check_coefficient_decay(config: RunConfig) -> CheckResult:
 def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
     l2 = NormSpec.lp(2.0)
     l1 = NormSpec.lp(1.0)
-    drifts = {}
 
     # 1D operators at L and L+1 on the same continuum corpus
     base = generate_corpus(config.seed, config.log_size)
@@ -450,7 +460,7 @@ def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
                         lambda f: linearize(f, fam1, fam2, eps_s), "T_eps", (l2,), l2, funcs
                     ).max_ratio
                 )
-            spread = (max(constants) - min(constants)) / max(constants)
+            spread = float((np.max(constants) - np.min(constants)) / np.max(constants))
 
     # 2D operators at L2d and L2d + 1.  The scale window K = L - 3 fully
     # resolves per-axis frequencies up to 2^(K-3) only, so the drift
@@ -485,6 +495,7 @@ def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
             lambda f, g: paraproduct_2p(spec2, f, g), "para2", (l2, l2), l1, pairs2
         ).max_ratio
 
+    drifts = {}
     for op, lo_size in (
         ("S", config.log_size),
         ("T_eps", config.log_size),
@@ -495,14 +506,11 @@ def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
         a = ratios[(lo_size, op)]
         b = ratios[(lo_size + 1, op)]
         drifts[op] = abs(b - a) / a
-    finite = all(np.isfinite(v) for v in ratios.values())
-    passed = finite and all(d <= 0.10 for d in drifts.values()) and spread <= 0.25
+    gates = [Gate("non-finite ratios", int(np.sum(~np.isfinite(list(ratios.values())))), 0)]
+    gates += [Gate(f"{op} drift over one doubling", d, 0.10) for op, d in drifts.items()]
+    gates.append(Gate("T_eps draw spread", spread, 0.25))
     return CheckResult(
-        "boundedness_sweeps", passed,
-        f"drift over one resolution doubling: "
-        + ", ".join(f"{k} {v:.2%}" for k, v in drifts.items())
-        + f"; T_eps draw spread {spread:.2%} (<25%)",
-        budget=300.0,
+        "boundedness_sweeps", gates, budget=300.0,
         details={
             "ratios": {f"{k}": v for k, v in ratios.items()},
             "drifts": drifts,
@@ -528,15 +536,14 @@ def check_tensor_factorizations(config: RunConfig) -> CheckResult:
     fam_b = make_adapted_family("from_pou_2", K2, log2d)
     rng = np.random.default_rng(config.seed)
     n = 2**log2d
-    worst_ss = 0.0
-    worst_para = 0.0
+    gates = []
     for _ in range(3):
         a, b = rng.normal(size=n), rng.normal(size=n)
         f2 = GridFunction((log2d, log2d), np.outer(a, b))
         ss = hybrid(f2, (fam, fam), "SS").values
         s1 = square_function(GridFunction((log2d,), a), fam).values
         s2 = square_function(GridFunction((log2d,), b), fam).values
-        worst_ss = max(worst_ss, float(np.abs(ss - np.outer(s1, s2)).max()))
+        gates.append(Gate("SS separable residual", np.abs(ss - np.outer(s1, s2)).max(), 1e-9))
 
         triple = (fam, fam_b, fam)
         eps = [EpsilonField.rademacher(s, range(1, K2 + 1)) for s in (1, 2)]
@@ -554,13 +561,11 @@ def check_tensor_factorizations(config: RunConfig) -> CheckResult:
             ).values
             for e, u, v in zip(eps, (a, b), (c, d))
         )
-        worst_para = max(worst_para, float(np.abs(out - np.outer(t1, t2)).max()))
-    passed = worst_ss <= 1e-9 and worst_para <= 1e-9
+        residual = np.abs(out - np.outer(t1, t2)).max()
+        gates.append(Gate("bi-parameter paraproduct separable residual", residual, 1e-9))
+    ss, para = gates = worst(gates)
     return CheckResult(
-        "tensor_factorizations", passed,
-        f"SS separable residual {worst_ss:.2e}; bi-parameter paraproduct "
-        f"separable residual {worst_para:.2e} (<=1e-9)",
-        budget=30.0, details={"ss": worst_ss, "para": worst_para},
+        "tensor_factorizations", gates, {"ss": ss.observed, "para": para.observed}, budget=30.0
     )
 
 
@@ -596,27 +601,30 @@ def run_suite(config: RunConfig, only=None, echo=print) -> int:
         try:
             result = check(config)
         except Exception as exc:  # a crashed check is a failed check
-            result = CheckResult(check_id, False, f"crashed: {exc!r}")
+            result = CheckResult(check_id, [], crashed=repr(exc))
         result.runtime = time.perf_counter() - start
+        result.gates.append(Gate("runtime_s", result.runtime, result.budget))
         results.append(result)
-        echo(f"[{'PASS' if result.ok else 'FAIL'}] {check_id} ({result.runtime:.2f}s): {result.summary}")
+        echo(f"[{'PASS' if result.passed else 'FAIL'}] {check_id}: {result.summary}")
         payload = {
             "check": result.check_id,
-            "passed": result.ok,
+            "passed": result.passed,
             "runtime_seconds": result.runtime,
             "budget_seconds": result.budget,
             "summary": result.summary,
-            "details": _jsonable(result.details),
+            "gates": [{**asdict(g), "passed": g.passed} for g in result.gates],
+            "details": result.details,
             "seed": config.seed,
             "config_hash": config_hash,
         }
-        (out_dir / f"{check_id}.json").write_text(json.dumps(payload, indent=2))
+        (out_dir / f"{check_id}.json").write_text(json.dumps(_jsonable(payload), indent=2))
     with (out_dir / "summary.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["check", "status", "runtime", "summary"])
-        for result in results:
-            writer.writerow(result.row())
-    failed = [r.check_id for r in results if not r.ok]
+        for r in results:
+            status = "pass" if r.passed else "FAIL"
+            writer.writerow([r.check_id, status, f"{r.runtime:.2f}s", r.summary])
+    failed = [r.check_id for r in results if not r.passed]
     if failed:
         echo(f"{len(failed)} of {len(results)} checks failed: {', '.join(failed)}")
         return 1

@@ -2,12 +2,17 @@
 its runtime budget at the default configuration.  One line is printed per
 criterion (run pytest with -s to see them all)."""
 
+import json
+import math
 import time
 
+import numpy as np
 import pytest
 
+import torusharmonics.suite as suite_module
 from torusharmonics.gfio import RunConfig
-from torusharmonics.suite import CHECKS
+from torusharmonics.grid import GridFunction
+from torusharmonics.suite import CHECKS, CheckResult, Gate, run_suite, worst
 
 
 @pytest.fixture(scope="module")
@@ -29,31 +34,81 @@ def test_acceptance(check_id, check, config):
 
 
 def test_suite_runner_writes_artifacts(tmp_path):
-    from torusharmonics.suite import run_suite
-
     config = RunConfig(out_dir=str(tmp_path / "out"))
     code = run_suite(config, only={"fs_growth_counterexample", "partition_gate"})
     assert code == 0
     summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
     assert len(summary) == 3  # header + one row per registered check run
-    assert (tmp_path / "out" / "partition_gate.json").exists()
+    payload = json.loads((tmp_path / "out" / "partition_gate.json").read_text())
+    assert [g["name"] for g in payload["gates"]][-1] == "runtime_s"
+    for g in payload["gates"]:
+        assert set(g) == {"name", "observed", "op", "bound", "passed"} and g["passed"]
 
 
 def test_suite_runner_flags_designed_failure(tmp_path):
-    # a corrupted tolerance must fail loudly: run the partition gate against
-    # an impossible residual ceiling by shrinking the grid below the scales
-    from torusharmonics.suite import CheckResult, run_suite
-
+    # a corrupted gate must fail loudly, and so must a crashed check
     config = RunConfig(out_dir=str(tmp_path / "out"))
 
     def always_red(cfg):
-        return CheckResult("designed_failure", False, "deliberately corrupted gate")
+        return CheckResult("designed_failure", [Gate("deliberately corrupted gate", 1.0, 0.0)])
 
-    import torusharmonics.suite as suite_module
+    def crashing(cfg):
+        raise RuntimeError("boom")
 
     original = suite_module.CHECKS
-    suite_module.CHECKS = [("designed_failure", always_red)]
+    suite_module.CHECKS = [("designed_failure", always_red), ("crashing", crashing)]
+    lines = []
     try:
-        assert run_suite(config) == 1
+        assert run_suite(config, echo=lines.append) == 1
     finally:
         suite_module.CHECKS = original
+    assert lines[0].startswith("[FAIL] designed_failure")
+    assert lines[1] == "[FAIL] crashing: crashed: RuntimeError('boom')"
+
+
+@pytest.mark.parametrize("op", ["<=", "<", ">=", ">"])
+def test_gate_ops_at_the_bound_and_on_nan(op):
+    holds = {"<=": (True, True, False), "<": (True, False, False),
+             ">=": (False, True, True), ">": (False, False, True)}[op]
+    assert tuple(Gate("g", x, 1.0, op).passed for x in (0.5, 1.0, 2.0)) == holds
+    assert not Gate("g", math.nan, 1.0, op).passed
+    assert math.isnan(worst([Gate("g", 1.0, 1.0, op), Gate("g", math.nan, 1.0, op)])[0].observed)
+    with pytest.raises(ValueError):
+        Gate("g", 1.0, 1.0, "==")
+
+
+# NaN outputs of the operators a check calls must fail the check; a running
+# builtin max(worst, nan) used to keep ``worst`` and pass
+SMALL = dict(log_size=8, log_size_2d=6)
+
+
+def test_nan_bilinear_output_fails_multiplier_identities(monkeypatch, tmp_path):
+    def nan_bilinear(symbol, f, g):
+        return GridFunction(f.log_sizes, np.full(f.values.shape, np.nan))
+
+    monkeypatch.setattr(suite_module, "apply_bilinear", nan_bilinear)
+    result = suite_module.check_multiplier_identities(RunConfig(out_dir=str(tmp_path), **SMALL))
+    assert not result.passed, result.summary
+
+
+def test_nan_hybrid_output_fails_tensor_factorizations(monkeypatch, tmp_path):
+    def nan_hybrid(f, fams, kind, **kwargs):
+        return GridFunction(f.log_sizes, np.full(f.values.shape, np.nan))
+
+    monkeypatch.setattr(suite_module, "hybrid", nan_hybrid)
+    result = suite_module.check_tensor_factorizations(RunConfig(out_dir=str(tmp_path), **SMALL))
+    assert not result.passed, result.summary
+
+
+def test_one_nan_maximal_sample_fails_weak_1_1_ceiling(monkeypatch, tmp_path):
+    exact = suite_module.maximal
+
+    def one_nan_sample(f, kind="hl", **kwargs):
+        out = exact(f, kind, **kwargs)
+        values = np.array(out.values)
+        values[0] = np.nan
+        return GridFunction(out.log_sizes, values)
+
+    monkeypatch.setattr(suite_module, "maximal", one_nan_sample)
+    result = suite_module.check_weak11(RunConfig(out_dir=str(tmp_path), **SMALL))
+    assert not result.passed, result.summary

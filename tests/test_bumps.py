@@ -5,8 +5,8 @@ from torusharmonics.bumps import (
     AdaptedFamily,
     ConstructionError,
     DoubleBumpSystem,
+    PlateauProfile,
     build_double_pou,
-    build_plateau,
     build_pou,
     decompose_adapted,
     make_adapted_family,
@@ -33,18 +33,18 @@ def fam1(pou):
 
 class TestPlateau:
     def test_plateau_values(self):
-        prof = build_plateau(-0.25, -0.125, 0.125, 0.25)
+        prof = PlateauProfile(-0.25, -0.125, 0.125, 0.25)
         assert prof(0.0) == 1.0
         assert prof(-0.25) == 0.0 and prof(0.25) == 0.0
         assert prof(0.3) == 0.0 and prof(-0.5) == 0.0
 
     def test_symmetry(self):
-        prof = build_plateau(-0.25, -0.125, 0.125, 0.25)
+        prof = PlateauProfile(-0.25, -0.125, 0.125, 0.25)
         x = np.linspace(-0.3, 0.3, 101)
         assert np.abs(prof(x) - prof(-x)).max() < 1e-12
 
     def test_monotone_transitions(self):
-        prof = build_plateau(0.0, 1.0, 2.0, 4.0)
+        prof = PlateauProfile(0.0, 1.0, 2.0, 4.0)
         rise = prof(np.linspace(0, 1, 50))
         fall = prof(np.linspace(2, 4, 50))
         assert (np.diff(rise) >= -1e-15).all()
@@ -52,7 +52,7 @@ class TestPlateau:
 
     def test_ordering_violation(self):
         with pytest.raises(ValueError):
-            build_plateau(0.0, 0.0, 1.0, 2.0)
+            PlateauProfile(0.0, 0.0, 1.0, 2.0)
 
     def test_smooth_step_range(self):
         x = np.linspace(-1, 2, 301)
@@ -242,7 +242,7 @@ class TestPeriodizationTransfer:
         # the corresponding line functions summed over five periods
         Lp, Kp = 10, 7
         fam1, _ = build_pou(Kp, Lp)
-        prof = build_plateau(-0.25, -0.125, 0.125, 0.25)
+        prof = PlateauProfile(-0.25, -0.125, 0.125, 0.25)
 
         # line bump whose transform is the scale-k hat profile: sample its
         # inverse transform by quadrature on a fine frequency mesh
