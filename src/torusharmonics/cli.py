@@ -1,6 +1,8 @@
 """Command-line surface: one binary, subcommand per capability.
 
-Exit codes: 0 success, 1 check failure, 2 usage error (argparse default).
+Exit codes: 0 success, 1 check failure, 2 usage error: bad arguments
+(argparse), a malformed or unreadable input file, or an invalid value, each
+reported as one ``error:`` line.
 Every run that writes an output file also writes the exact configuration
 used next to it (<out>.config.json).
 """
@@ -226,7 +228,7 @@ def main(argv=None) -> int:
         return _dispatch(args, config)
     except (FileFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 def _dispatch(args, config: RunConfig) -> int:

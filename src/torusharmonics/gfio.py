@@ -64,8 +64,7 @@ def read_grid_function(path, fmt: str = "json", log_sizes=None) -> GridFunction:
                 f"fields 're'/'im' have {len(re)}/{len(im)} entries; "
                 f"log_sizes {log_sizes} needs {expected}"
             )
-        vals = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-        return GridFunction(log_sizes, vals)
+        return GridFunction(log_sizes, _complex_samples(re, im))
     if fmt == "bin":
         if log_sizes is None:
             raise FileFormatError("binary format carries no shape; pass log_sizes")
@@ -78,9 +77,17 @@ def read_grid_function(path, fmt: str = "json", log_sizes=None) -> GridFunction:
             raise FileFormatError(
                 f"binary payload holds {raw.size} floats; expected {2 * expected}"
             )
-        vals = raw[0::2] + 1j * raw[1::2]
-        return GridFunction(log_sizes, vals)
+        return GridFunction(log_sizes, _complex_samples(raw[0::2], raw[1::2]))
     raise FileFormatError(f"unknown format {fmt!r}")
+
+
+def _complex_samples(re, im) -> np.ndarray:
+    """re + i im, if no sample has a NaN or infinite part."""
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    bad = np.count_nonzero(~(np.isfinite(re) & np.isfinite(im)))
+    if bad:
+        raise FileFormatError(f"{bad} of {re.size} samples are NaN or infinite")
+    return re + 1j * im
 
 
 @dataclass

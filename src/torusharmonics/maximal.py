@@ -1,11 +1,15 @@
 """Maximal operators and Calderon-Zygmund stopping-time decompositions.
 
 The Hardy-Littlewood maximal function is computed exactly over *all*
-grid-aligned torus intervals (every run of whole cells, wrapping allowed)
-with prefix sums and O(N) sliding-window maxima per width, so downstream
-constants carry no approximation ambiguity.  The strong maximal function
-restricts to rectangles with power-of-two side lengths at arbitrary offsets
-(any rectangle is contained in one of that class with at most 4x the area).
+grid-aligned torus intervals (every run of whole cells, wrapping allowed),
+so downstream constants carry no approximation ambiguity.  A divide and
+conquer over the prefix sums of the doubled array (the dense form of the
+maximum-density-segment method of Chung & Lu, SIAM J. Comput. 2004) takes
+every window mean once, O(N^2) entries in bounded slabs, and equals the
+O(N)-per-width loop ``_hl_axis`` bit for bit; the shifted operators keep
+that loop.  The strong maximal function restricts to rectangles with
+power-of-two side lengths at arbitrary offsets (any rectangle is contained
+in one of that class with at most 4x the area).
 The adapted maximal function reads the pairings <phi_I, f> off the
 coefficient transform through the one-parameter 'M' aggregate of the hybrids.
 """
@@ -54,11 +58,12 @@ def _window_means(absvals: np.ndarray, w: int) -> np.ndarray:
 
 
 def _hl_axis(absvals: np.ndarray, shift: int = 0, sup_shift: bool = False) -> np.ndarray:
-    """Exact interval-maximal function along the last axis.
+    """Exact interval-maximal function along the last axis, one width at a time.
 
-    ``shift`` computes the n-shifted operator (averages over I^n while the
-    indicator sits on I); ``sup_shift`` additionally takes the sup over all
-    grid-representable fractional shifts alpha in [0, 1].
+    Unshifted, it is the oracle for ``_hl_runs``.  ``shift`` computes the
+    n-shifted operator (averages over I^n while the indicator sits on I);
+    ``sup_shift`` additionally takes the sup over all grid-representable
+    fractional shifts alpha in [0, 1].
     """
     n = absvals.shape[-1]
     best = np.full(absvals.shape, -np.inf)
@@ -72,6 +77,73 @@ def _hl_axis(absvals: np.ndarray, shift: int = 0, sup_shift: bool = False) -> np
         covering = _sliding_max(means, w)
         best = np.maximum(best, np.roll(covering, w - 1, axis=-1))
     return best
+
+
+#: window means held at once by ``_hl_runs``; bounds its peak memory
+_SLAB = 1 << 16
+
+
+def _crossing_maxima(pa: np.ndarray, pb: np.ndarray, n: int):
+    """Row and column maxima of the means (pb[:, t] - pa[:, i]) / (h + 1 + t - i).
+
+    Row i is the run start lo + i in a block's left half, column t the run end
+    lo + h + 1 + t past its middle cell.  Runs wider than the torus, which only
+    the doubled array's one block holds, are left out.
+    """
+    batch, h = pa.shape
+    rowmax = np.full((batch, h), -np.inf)
+    colmax = np.full((batch, h), -np.inf)
+    rows = min(h, max(1, _SLAB // h))
+    step = max(1, _SLAB // (rows * h))
+    for r0 in range(0, h, rows):
+        i = np.arange(r0, min(r0 + rows, h))
+        cols = min(h, n - h + int(i[-1]))
+        if cols <= 0:
+            continue
+        width = h + 1 + np.arange(cols) - i[:, None]
+        wide = width > n
+        for b0 in range(0, batch, step):
+            sl = slice(b0, b0 + step)
+            means = (pb[sl, None, :cols] - pa[sl, i, None]) / width
+            if wide.any():
+                means[:, wide] = -np.inf
+            rowmax[sl, i] = means.max(axis=-1)
+            top = colmax[sl, :cols]
+            np.maximum(top, means.max(axis=-2), out=top)
+    return rowmax, colmax
+
+
+def _hl_runs(absvals: np.ndarray) -> np.ndarray:
+    """``_hl_axis(absvals)`` bit for bit, by divide and conquer over the runs.
+
+    A torus arc is a run [a, b) of the doubled array with a < n and
+    b - a <= n, and its mean is (P_b - P_a) / (b - a) over the same prefix
+    sums P as the width loop forms.  Width-1 runs are taken as P_{x+1} - P_x.
+    A wider run with b <= n contains the middle cells of exactly one dyadic
+    block of [0, n); the runs with b > n cross the middle of the doubled
+    array.  Per block, a prefix max of the row maxima covers the left-half
+    cells and a suffix max of the column maxima the right-half cells.
+    """
+    n = absvals.shape[-1]
+    flat = absvals.reshape(-1, n)
+    csum = np.zeros((flat.shape[0], 2 * n + 1))
+    np.cumsum(np.concatenate([flat, flat], axis=-1), axis=-1, out=csum[:, 1:])
+    best = csum[:, 1 : n + 1] - csum[:, :n]
+    h = 1
+    while h <= n:
+        span = n if h < n else 2 * n
+        shape = (-1, span // (2 * h), 2, h)
+        pa = csum[:, :span].reshape(shape)[:, :, 0].reshape(-1, h)
+        pb = csum[:, 1 : span + 1].reshape(shape)[:, :, 1].reshape(-1, h)
+        rowmax, colmax = _crossing_maxima(pa, pb, n)
+        left = np.maximum.accumulate(rowmax, axis=-1)
+        right = np.maximum.accumulate(colmax[:, ::-1], axis=-1)[:, ::-1]
+        cover = np.concatenate([left, right], axis=-1).reshape(-1, span)
+        if span > n:
+            cover = np.maximum(cover[:, :n], cover[:, n:])
+        best = np.maximum(best, cover)
+        h *= 2
+    return best.reshape(absvals.shape)
 
 
 def _level_averages(vals: np.ndarray) -> dict[int, np.ndarray]:
@@ -127,7 +199,7 @@ def maximal(f: GridFunction, kind: str = "hl", n: int = 0, axis: int = 0) -> Gri
         if f.dims != 1:
             raise ValueError(f"kind {kind!r} requires a 1D grid function")
         if kind == "hl":
-            out = _hl_axis(absvals)
+            out = _hl_runs(absvals)
         elif kind == "dyadic":
             out = _dyadic_axis(absvals)
         elif kind == "shifted":
@@ -141,8 +213,8 @@ def maximal(f: GridFunction, kind: str = "hl", n: int = 0, axis: int = 0) -> Gri
         return GridFunction(f.log_sizes, _strong_2d(absvals))
     if kind == "directional":
         if axis == 0:
-            return GridFunction(f.log_sizes, _hl_axis(absvals.T).T)
-        return GridFunction(f.log_sizes, _hl_axis(absvals))
+            return GridFunction(f.log_sizes, _hl_runs(absvals.T).T)
+        return GridFunction(f.log_sizes, _hl_runs(absvals))
     raise ValueError(f"unknown maximal kind {kind!r}")
 
 
@@ -220,7 +292,7 @@ def cz_cover(f: GridFunction, alpha: float) -> StoppingCover:
     if f.dims != 1:
         raise ValueError("cz_cover requires a 1D grid function")
     absvals = np.abs(f.values)
-    mf = _hl_axis(absvals)
+    mf = _hl_runs(absvals)
     above = mf > alpha
     if not above.any():
         return StoppingCover(alpha, [], True)

@@ -226,7 +226,12 @@ def fs_sum_counterexample(n_pieces: int, log_size: int | None = None) -> Counter
 def fs_growth_counterexample(
     depth: int, r: float, log_size: int | None = None
 ) -> CounterexampleReport:
-    """(sum_{k<=K} (M chi_{[2^-k-1, 2^-k)})^r)^{1/r} >= K^{1/r}/2 near 0."""
+    """(sum_{k<=K} (M chi_{[2^-k-1, 2^-k)})^r)^{1/r} >= K^{1/r}/2 near 0.
+
+    Near 0 every M chi_k is 1/2, so the bound is attained.  ``details`` also
+    carries the equivalent power form min sum_k (M chi_k)^r >= K 2^-r, whose
+    two sides are exact on the grid (no root is taken).
+    """
     log_size = log_size or (depth + 3)
     if depth + 1 > log_size:
         raise ValueError("grid must resolve the finest piece")
@@ -236,15 +241,21 @@ def fs_growth_counterexample(
     for k in range(1, depth + 1):
         vals = ((x >= 2.0 ** (-k - 1)) & (x < 2.0**-k)).astype(float)
         stack.append(maximal(GridFunction((log_size,), vals), "hl").values.real)
-    agg = (np.stack(stack) ** r).sum(axis=0) ** (1.0 / r)
+    powers = (np.stack(stack) ** r).sum(axis=0)
     window = x < 2.0**-depth
-    value = float(agg[window].min())
+    value = float((powers ** (1.0 / r))[window].min())
     bound = depth ** (1.0 / r) / 2.0
     return CounterexampleReport(
         f"ell^{r} growth over {depth} dyadic bumps",
         value,
         bound,
-        {"depth": depth, "r": r, "log_size": log_size},
+        {
+            "depth": depth,
+            "r": r,
+            "log_size": log_size,
+            "power_sum": float(powers[window].min()),
+            "power_bound": depth * 2.0**-r,
+        },
     )
 
 

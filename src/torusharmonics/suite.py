@@ -147,7 +147,11 @@ def check_fs_growth(config: RunConfig) -> CheckResult:
     reports = [fs_growth_counterexample(6, r) for r in (2.0, 4.0)]
     return CheckResult(
         "fs_growth_counterexample",
-        [Gate(f"r={r.details['r']}: value", r.value, r.bound, ">=") for r in reports],
+        [
+            Gate(f"r={r.details['r']}: min sum of powers", r.details["power_sum"],
+                 r.details["power_bound"], ">=")
+            for r in reports
+        ],
         {f"r{r.details['r']}": (r.value, r.bound) for r in reports},
         budget=5.0,
     )

@@ -65,6 +65,22 @@ class TestFileFormats:
         with pytest.raises(FileFormatError, match="im"):
             read_grid_function(path)
 
+    @pytest.mark.parametrize("sample", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_json_sample_is_rejected(self, tmp_path, sample):
+        payload = {"dims": 1, "log_sizes": [4], "re": [0.0] * 15 + [sample], "im": [0.0] * 16}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FileFormatError, match="1 of 16 samples are NaN or infinite"):
+            read_grid_function(path)
+
+    def test_non_finite_binary_sample_is_rejected(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        pairs = np.zeros(32)
+        pairs[[1, 6]] = (np.inf, np.nan)  # the imaginary part of sample 0, the real of 3
+        path.write_bytes(pairs.astype("<f8").tobytes())
+        with pytest.raises(FileFormatError, match="2 of 16 samples"):
+            read_grid_function(path, fmt="bin", log_sizes=(4,))
+
     def test_binary_needs_shape(self, tmp_path):
         path = tmp_path / "f.bin"
         write_grid_function(GridFunction.constant(1.0, (5,)), path, fmt="bin")
@@ -127,9 +143,26 @@ class TestCLI:
 
     def test_missing_input_file_is_one_line_error(self, tmp_path, capsys):
         code = main(["maximal", "--in", str(tmp_path / "absent.json")])
-        assert code == 1
+        assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_nan_input_file_is_a_usage_error(self, tmp_path, capsys):
+        values = np.ones(16)
+        values[3] = np.nan
+        path = tmp_path / "nan.json"
+        write_grid_function(GridFunction((4,), values), path)
+        assert main(["maximal", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "max value" not in captured.out
+        assert captured.err.startswith("error:") and "NaN" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_malformed_json_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert main(["rearrange", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: not valid JSON")
 
     def test_square_command(self, sample, tmp_path):
         _, path = sample
@@ -145,7 +178,7 @@ class TestCLI:
 
     def test_hybrid_on_1d_input_is_one_line_error(self, sample, capsys):
         _, path = sample
-        assert main(["hybrid", "--in", str(path)]) == 1
+        assert main(["hybrid", "--in", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2D" in err and err.count("\n") == 1
 
@@ -291,4 +324,4 @@ class TestCLIParaproduct2P:
         assert main(
             ["paraproduct", "--params", "1", "--eps", f"file:{eps_path}",
              "--in", str(path), "--in2", str(path2)]
-        ) == 1
+        ) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from torusharmonics.corpus import generate_corpus
+from torusharmonics.gfio import RunConfig
 from torusharmonics.grid import GridFunction, NormSpec, lp_norm, weak_lp_norm
 from torusharmonics.maximal import maximal
 from torusharmonics.probes import (
@@ -14,6 +15,7 @@ from torusharmonics.probes import (
     llogl_maximal_experiment,
     probe_norm,
 )
+from torusharmonics.suite import check_fs_growth
 
 
 class TestCorpus:
@@ -159,6 +161,13 @@ class TestCounterexamples:
             rep = fs_growth_counterexample(6, r)
             assert rep.value >= rep.bound
             assert abs(rep.bound - 6 ** (1 / r) / 2) < 1e-12
+
+    def test_growth_gate_sits_exactly_on_its_bound(self):
+        # near 0 every M chi_k is exactly 1/2, so the power form is exact:
+        # 6 * 2^-2 = 1.5 and 6 * 2^-4 = 0.375, with no root taken
+        gates = check_fs_growth(RunConfig()).gates
+        assert [(g.observed, g.bound) for g in gates] == [(1.5, 1.5), (0.375, 0.375)]
+        assert all(g.passed for g in gates)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):

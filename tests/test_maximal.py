@@ -1,10 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusharmonics.bumps import make_adapted_family
+from torusharmonics.corpus import generate_corpus
 from torusharmonics.dyadic import DyadicInterval, star
 from torusharmonics.grid import GridFunction
 from torusharmonics.maximal import (
+    _hl_axis,
+    _hl_runs,
     adapted_maximal,
     cz_cover,
     cz_decompose,
@@ -16,6 +23,7 @@ from torusharmonics.transform import analysis
 
 L = 10
 N = 2**L
+maximal_module = importlib.import_module("torusharmonics.maximal")
 
 
 def indicator(a, b, log_size=L):
@@ -406,3 +414,84 @@ class TestStrongMaximalBruteForce:
                                 if mean > best[i, j]:
                                     best[i, j] = mean
         assert np.abs(out - best).max() < 1e-12
+
+
+@st.composite
+def abs_samples(draw, min_log=1, max_lead=2):
+    """|f| samples at L = min_log..9 with up to ``max_lead`` leading axes."""
+    log_size = draw(st.integers(min_log, 9))
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=max_lead))) + (2**log_size,)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "sparse", "zero", "constant")))
+    if kind == "random":
+        return rng.lognormal(sigma=2.0, size=shape)
+    if kind == "sparse":
+        return np.where(rng.uniform(size=shape) < 0.05, rng.lognormal(sigma=2.0, size=shape), 0.0)
+    if kind == "zero":
+        return np.zeros(shape)
+    return np.full(shape, rng.lognormal(sigma=2.0))
+
+
+def hl(vals):
+    return maximal(GridFunction((vals.size.bit_length() - 1,), vals), "hl").values.real
+
+
+def assert_close(a, b, vals):
+    # 1e-12 relative to the total mass, the scale of the prefix sums' rounding
+    assert np.abs(a - b).max() <= 1e-12 * vals.sum()
+
+
+class TestIntervalKernel:
+    """The divide-and-conquer kernel equals the width loop bit for bit."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(abs_samples())
+    def test_equals_width_loop(self, vals):
+        assert np.array_equal(_hl_runs(vals), _hl_axis(vals))
+
+    @pytest.mark.parametrize("slab", [1, 5, 64])
+    def test_equals_width_loop_in_small_slabs(self, monkeypatch, slab):
+        # small slabs split rows, columns and batches, wrapped runs included
+        monkeypatch.setattr(maximal_module, "_SLAB", slab)
+        rng = np.random.default_rng(slab)
+        for log_size in range(1, 8):
+            vals = rng.lognormal(sigma=2.0, size=(3, 2**log_size))
+            assert np.array_equal(_hl_runs(vals), _hl_axis(vals))
+
+    @settings(max_examples=25, deadline=None)
+    @given(abs_samples(), st.data())
+    def test_non_finite_samples_land_where_the_loop_puts_them(self, vals, data):
+        flat = vals.reshape(-1)
+        cells = data.draw(st.lists(st.integers(0, flat.size - 1), min_size=1, max_size=3))
+        flat[cells] = data.draw(st.sampled_from([np.nan, np.inf]))
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(_hl_runs(vals), _hl_axis(vals), equal_nan=True)
+
+    def test_equals_width_loop_on_corpus_and_both_directions(self):
+        for _, f in generate_corpus(11, 9).members:
+            vals = np.abs(f.values)
+            assert np.array_equal(_hl_runs(vals), _hl_axis(vals))
+        vals = np.random.default_rng(4).lognormal(size=(64, 64))
+        f2 = GridFunction((6, 6), vals)
+        assert np.array_equal(maximal(f2, "directional", axis=0).values, _hl_axis(vals.T).T)
+        assert np.array_equal(maximal(f2, "directional", axis=1).values, _hl_axis(vals))
+
+    @settings(max_examples=25, deadline=None)
+    @given(abs_samples(min_log=4, max_lead=0), st.integers(0, 2**9 - 1))
+    def test_translation_and_reflection_commute(self, vals, shift):
+        mf = hl(vals)
+        assert_close(hl(np.roll(vals, shift)), np.roll(mf, shift), vals)
+        assert_close(hl(vals[::-1]), mf[::-1], vals)
+
+    @settings(max_examples=25, deadline=None)
+    @given(abs_samples(min_log=4, max_lead=0))
+    def test_positively_homogeneous(self, vals):
+        assert_close(hl(2.0 * vals), 2.0 * hl(vals), 2.0 * vals)
+
+    @settings(max_examples=25, deadline=None)
+    @given(abs_samples(min_log=4, max_lead=0))
+    def test_dyadic_between_samples_and_hl(self, vals):
+        f = GridFunction((vals.size.bit_length() - 1,), vals)
+        md = maximal(f, "dyadic").values.real
+        assert (vals <= md).all()
+        assert (md <= hl(vals) + 1e-12 * vals.sum()).all()
