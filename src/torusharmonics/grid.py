@@ -236,9 +236,11 @@ def weak_lp_norm_of_values(absvals: np.ndarray, p: float) -> float:
     The distribution function is a step function, and lambda * mu(lambda)^{1/p}
     is increasing between its breakpoints, so the sup is attained in the limit
     lambda -> v from below at the distinct sample values v:
-    sup = max_v v * (fraction with |f| >= v)^{1/p}.
+    sup = max_v v * (fraction with |f| >= v)^{1/p}.  A NaN sample makes it NaN.
     """
     absvals = np.asarray(absvals, dtype=float).ravel()
+    if np.isnan(absvals).any():
+        return math.nan
     total = absvals.size
     vals = np.sort(absvals)[::-1]
     positive = vals > 0

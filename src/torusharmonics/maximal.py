@@ -2,14 +2,21 @@
 
 The Hardy-Littlewood maximal function is computed exactly over *all*
 grid-aligned torus intervals (every run of whole cells, wrapping allowed),
-so downstream constants carry no approximation ambiguity.  A divide and
-conquer over the prefix sums of the doubled array (the dense form of the
+so downstream constants carry no approximation ambiguity.  The interval,
+shifted and strong maximal functions read their window means
+(P_{a+w} - P_a) / w off prefix sums P of the doubled array
+(``_doubled_csum``), the same floats the O(N)-per-width loop ``_hl_axis``
+forms, and so equal the plain width loops bit for bit.  A divide and
+conquer over those sums (the dense form of the
 maximum-density-segment method of Chung & Lu, SIAM J. Comput. 2004) takes
-every window mean once, O(N^2) entries in bounded slabs, and equals the
-O(N)-per-width loop ``_hl_axis`` bit for bit; the shifted operators keep
-that loop.  The strong maximal function restricts to rectangles with
-power-of-two side lengths at arbitrary offsets (any rectangle is contained
-in one of that class with at most 4x the area).
+every window mean once, O(N^2) entries in bounded slabs.  The shifted
+operators keep one pass per width; the sup over fractional shifts fuses its
+two sliding maxima into one window of min(w+1, N) + w - 1 cells, the global
+max once that window wraps the torus.  The strong maximal function
+restricts to rectangles with power-of-two side lengths at arbitrary offsets
+(any rectangle is contained in one of that class with at most 4x the area);
+sliding maxima are separable and commute with pointwise max, so the axis-0
+cover runs once per row width on the max over all column widths.
 The adapted maximal function reads the pairings <phi_I, f> off the
 coefficient transform through the one-parameter 'M' aggregate of the hybrids.
 """
@@ -60,7 +67,8 @@ def _window_means(absvals: np.ndarray, w: int) -> np.ndarray:
 def _hl_axis(absvals: np.ndarray, shift: int = 0, sup_shift: bool = False) -> np.ndarray:
     """Exact interval-maximal function along the last axis, one width at a time.
 
-    Unshifted, it is the oracle for ``_hl_runs``.  ``shift`` computes the
+    The test oracle for the kernels of ``hl`` (``_hl_runs``), ``shifted``
+    and ``shifted_sup`` (``_shifted_widths``).  ``shift`` computes the
     n-shifted operator (averages over I^n while the indicator sits on I);
     ``sup_shift`` additionally takes the sup over all grid-representable
     fractional shifts alpha in [0, 1].
@@ -76,6 +84,40 @@ def _hl_axis(absvals: np.ndarray, shift: int = 0, sup_shift: bool = False) -> np
                 means = _sliding_max(means, min(w + 1, n))
         covering = _sliding_max(means, w)
         best = np.maximum(best, np.roll(covering, w - 1, axis=-1))
+    return best
+
+
+def _doubled_csum(absvals: np.ndarray) -> np.ndarray:
+    """Prefix sums P of the doubled array along the last axis, P[..., 0] = 0.
+
+    ``np.cumsum`` adds in order, so (P[w : w+n] - P[:n]) / w are the floats
+    ``_window_means`` forms for width w.
+    """
+    n = absvals.shape[-1]
+    csum = np.zeros(absvals.shape[:-1] + (2 * n + 1,))
+    np.cumsum(np.concatenate([absvals, absvals], axis=-1), axis=-1, out=csum[..., 1:])
+    return csum
+
+
+def _shifted_widths(absvals: np.ndarray, shift: int, sup_shift: bool) -> np.ndarray:
+    """``_hl_axis(absvals, shift, sup_shift)`` bit for bit, on shared prefix sums.
+
+    The sup over the w+1 fractional offsets and the cover of width w are two
+    cyclic sliding maxima; their composition is one of width
+    min(w+1, n) + w - 1, which is the global max once it reaches n.
+    """
+    n = absvals.shape[-1]
+    csum = _doubled_csum(absvals)
+    best = np.full(absvals.shape, -np.inf)
+    for w in range(1, n + 1):
+        means = (csum[..., w : w + n] - csum[..., :n]) / w
+        window = min(w + 1, n) + w - 1 if sup_shift else w
+        if window >= n:
+            best = np.maximum(best, means.max(axis=-1, keepdims=True))
+            continue
+        # the sliding max commutes with the roll by -shift * w
+        cover = _sliding_max(means, window)
+        best = np.maximum(best, np.roll(cover, w - 1 - shift * w, axis=-1))
     return best
 
 
@@ -125,9 +167,7 @@ def _hl_runs(absvals: np.ndarray) -> np.ndarray:
     cells and a suffix max of the column maxima the right-half cells.
     """
     n = absvals.shape[-1]
-    flat = absvals.reshape(-1, n)
-    csum = np.zeros((flat.shape[0], 2 * n + 1))
-    np.cumsum(np.concatenate([flat, flat], axis=-1), axis=-1, out=csum[:, 1:])
+    csum = _doubled_csum(absvals.reshape(-1, n))
     best = csum[:, 1 : n + 1] - csum[:, :n]
     h = 1
     while h <= n:
@@ -174,16 +214,24 @@ def _pow2_widths(n: int):
 
 
 def _strong_2d(absvals: np.ndarray) -> np.ndarray:
-    """Sup of rectangle averages, power-of-two side lengths, any offset."""
+    """Sup of rectangle averages, power-of-two side lengths, any offset.
+
+    Per row width w1 the column-width covers are maxed first; the axis-0
+    sliding max and roll then run once on that max, which is exact because
+    they commute with pointwise max and with a roll along axis 1.
+    """
+    n0, n1 = absvals.shape
+    col_csum = _doubled_csum(absvals.T)
     best = np.full(absvals.shape, -np.inf)
-    for w1 in _pow2_widths(absvals.shape[0]):
-        rows = _window_means(absvals.T, w1).T  # means over w1 cells along axis 0
-        for w2 in _pow2_widths(absvals.shape[1]):
-            means = _window_means(rows, w2)
-            cover = _sliding_max(means, w2)
-            cover = _sliding_max(cover.T, w1).T
-            cover = np.roll(cover, (w1 - 1, w2 - 1), axis=(0, 1))
-            best = np.maximum(best, cover)
+    for w1 in _pow2_widths(n0):
+        rows = ((col_csum[:, w1 : w1 + n0] - col_csum[:, :n0]) / w1).T
+        row_csum = _doubled_csum(rows)
+        covers = np.full(absvals.shape, -np.inf)
+        for w2 in _pow2_widths(n1):
+            means = (row_csum[:, w2 : w2 + n1] - row_csum[:, :n1]) / w2
+            covers = np.maximum(covers, np.roll(_sliding_max(means, w2), w2 - 1, axis=1))
+        cover = _sliding_max(covers.T, w1).T
+        best = np.maximum(best, np.roll(cover, w1 - 1, axis=0))
     return best
 
 
@@ -202,10 +250,8 @@ def maximal(f: GridFunction, kind: str = "hl", n: int = 0, axis: int = 0) -> Gri
             out = _hl_runs(absvals)
         elif kind == "dyadic":
             out = _dyadic_axis(absvals)
-        elif kind == "shifted":
-            out = _hl_axis(absvals, shift=n)
         else:
-            out = _hl_axis(absvals, shift=n, sup_shift=True)
+            out = _shifted_widths(absvals, n, kind == "shifted_sup")
         return GridFunction(f.log_sizes, out)
     if f.dims != 2:
         raise ValueError(f"kind {kind!r} requires a 2D grid function")

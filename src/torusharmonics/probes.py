@@ -318,7 +318,7 @@ def llogl_maximal_experiment(
 ) -> MaximalZygmundReport:
     """Compare ||Mf||_1 with the L log L norm and (Mf)* with f** pointwise."""
     ratios, profiles = {}, {}
-    lows, highs = [], []
+    lows, highs = [np.empty(0)], [np.empty(0)]
     for name, f in corpus.members:
         mf = maximal(f, "hl")
         mf_l1 = lp_norm(mf, 1.0)
@@ -329,13 +329,14 @@ def llogl_maximal_experiment(
         # (Mf)* is a step function and f** is continuous decreasing, so on
         # each step piece the ratio is monotone: its extremes over the window
         # sit at the clipped piece endpoints
-        left_edges = np.concatenate([[0.0], mf_profile.breakpoints[:-1]])
-        for a_m, t0, t1 in zip(mf_profile.values, left_edges, mf_profile.breakpoints):
-            if t1 <= t_lo or t0 >= t_hi:
-                continue
-            lo_t = max(t0, t_lo)
-            hi_t = min(t1, t_hi)
-            lows.append(a_m / float(fstar2(np.array([lo_t if lo_t > 0 else t_lo]))[0]))
-            highs.append(a_m / float(fstar2(np.array([hi_t]))[0]))
-    curve_range = (float(np.min(lows, initial=math.inf)), float(np.max(highs, initial=0.0)))
+        t1 = mf_profile.breakpoints
+        t0 = np.concatenate([[0.0], t1[:-1]])
+        keep = (t1 > t_lo) & (t0 < t_hi)
+        steps = mf_profile.values[keep]
+        lows.append(steps / fstar2(np.maximum(t0[keep], t_lo)))
+        highs.append(steps / fstar2(np.minimum(t1[keep], t_hi)))
+    curve_range = (
+        float(np.min(np.concatenate(lows), initial=math.inf)),
+        float(np.max(np.concatenate(highs), initial=0.0)),
+    )
     return MaximalZygmundReport(ratios, curve_range, {"t_window": (t_lo, t_hi)}, profiles)

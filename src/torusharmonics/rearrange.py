@@ -76,9 +76,15 @@ class StepProfile:
 
 
 def rearrangement(f: GridFunction) -> StepProfile:
-    """Decreasing rearrangement of |f| as an exact step profile."""
+    """Decreasing rearrangement of |f| as an exact step profile.
+
+    A step profile cannot hold NaN, so NaN samples raise ``ValueError``.
+    """
     absvals = np.sort(np.abs(f.values).ravel())[::-1]
     total = absvals.size
+    nans = int(np.isnan(absvals).sum())
+    if nans:
+        raise ValueError(f"{nans} of {total} samples are NaN; a rearrangement cannot hold NaN")
     # merge equal sample values into single steps
     vals, counts = np.unique(absvals, return_counts=True)
     vals = vals[::-1]

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torusharmonics
 from torusharmonics.cli import main
 from torusharmonics.gfio import (
     FileFormatError,
@@ -275,10 +278,15 @@ class TestCLI:
         assert json.loads((out / "config.json").read_text())["seed"] == 9
 
     def test_console_script_entry(self):
+        # the child imports the package from where this process found it,
+        # installed or not
+        package_root = str(Path(torusharmonics.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "torusharmonics.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "verify" in proc.stdout

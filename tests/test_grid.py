@@ -165,6 +165,11 @@ class TestNorms:
         for spec in [NormSpec.lp(p), NormSpec.weak(p), NormSpec.linf()]:
             assert norm(f, spec) <= norm(g, spec) + 1e-12
 
+    def test_weak_norm_propagates_nan(self):
+        vals = np.ones(16)
+        vals[3] = np.nan
+        assert np.isnan(weak_lp_norm(GridFunction((4,), vals), 1.0))
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             NormSpec("Lp", -1.0)

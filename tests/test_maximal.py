@@ -12,6 +12,10 @@ from torusharmonics.grid import GridFunction
 from torusharmonics.maximal import (
     _hl_axis,
     _hl_runs,
+    _shifted_widths,
+    _sliding_max,
+    _strong_2d,
+    _window_means,
     adapted_maximal,
     cz_cover,
     cz_decompose,
@@ -495,3 +499,84 @@ class TestIntervalKernel:
         md = maximal(f, "dyadic").values.real
         assert (vals <= md).all()
         assert (md <= hl(vals) + 1e-12 * vals.sum()).all()
+
+
+class TestShiftedKernel:
+    """The shared-prefix width loop equals ``_hl_axis`` bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(abs_samples(), st.integers(0, 3), st.booleans())
+    def test_equals_width_loop(self, vals, shift, sup_shift):
+        got = _shifted_widths(vals, shift, sup_shift)
+        assert np.array_equal(got, _hl_axis(vals, shift=shift, sup_shift=sup_shift))
+
+    @settings(max_examples=25, deadline=None)
+    @given(abs_samples(), st.integers(0, 3), st.booleans(), st.data())
+    def test_non_finite_samples_land_where_the_loop_puts_them(self, vals, shift, sup_shift, data):
+        flat = vals.reshape(-1)
+        cells = data.draw(st.lists(st.integers(0, flat.size - 1), min_size=1, max_size=3))
+        flat[cells] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        with np.errstate(invalid="ignore"):
+            got = _shifted_widths(vals, shift, sup_shift)
+            want = _hl_axis(vals, shift=shift, sup_shift=sup_shift)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def strong_pairs_loop(absvals):
+    """The strong maximal with both sliding maxima run for every (w1, w2)."""
+    best = np.full(absvals.shape, -np.inf)
+    w1 = 1
+    while w1 <= absvals.shape[0]:
+        rows = _window_means(absvals.T, w1).T
+        w2 = 1
+        while w2 <= absvals.shape[1]:
+            cover = _sliding_max(_window_means(rows, w2), w2)
+            cover = _sliding_max(cover.T, w1).T
+            best = np.maximum(best, np.roll(cover, (w1 - 1, w2 - 1), axis=(0, 1)))
+            w2 *= 2
+        w1 *= 2
+    return best
+
+
+class TestStrongKernel:
+    """The factored cover equals the per-(w1, w2) loop bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_equals_pairs_loop(self, log0, log1, seed, n_nan):
+        rng = np.random.default_rng(seed)
+        vals = rng.lognormal(sigma=2.0, size=(2**log0, 2**log1))
+        vals.reshape(-1)[rng.integers(0, vals.size, size=n_nan)] = np.nan
+        assert np.array_equal(_strong_2d(vals), strong_pairs_loop(vals), equal_nan=True)
+
+
+def dominated(vals, rng):
+    """Samples of a function f with |f| <= vals pointwise, signs mixed."""
+    return vals * rng.uniform(size=vals.shape) * rng.choice([-1.0, 1.0], size=vals.shape)
+
+
+class TestMonotone:
+    """|f| <= |g| pointwise gives Mf <= Mg, at 1e-12 of the mass of g."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        abs_samples(min_log=4, max_lead=0),
+        st.sampled_from([("hl", 0), ("shifted", 1), ("shifted", 2), ("shifted_sup", 1)]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_interval_kinds(self, vals, kind_shift, seed):
+        kind, shift = kind_shift
+        log_sizes = (vals.size.bit_length() - 1,)
+        f = GridFunction(log_sizes, dominated(vals, np.random.default_rng(seed)))
+        mf = maximal(f, kind, n=shift).values.real
+        mg = maximal(GridFunction(log_sizes, vals), kind, n=shift).values.real
+        assert (mf <= mg + 1e-12 * vals.sum()).all()
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(4, 6), st.integers(4, 6), st.integers(0, 2**32 - 1))
+    def test_strong(self, log0, log1, seed):
+        rng = np.random.default_rng(seed)
+        vals = rng.lognormal(sigma=2.0, size=(2**log0, 2**log1))
+        mf = maximal(GridFunction((log0, log1), dominated(vals, rng)), "strong").values.real
+        mg = maximal(GridFunction((log0, log1), vals), "strong").values.real
+        assert (mf <= mg + 1e-12 * vals.sum()).all()

@@ -81,6 +81,12 @@ class TestRearrangement:
                     < 1e-15
                 )
 
+    def test_nan_sample_is_rejected(self):
+        vals = np.ones(16)
+        vals[3] = np.nan
+        with pytest.raises(ValueError, match="1 of 16 samples are NaN"):
+            rearrangement(GridFunction((4,), vals))
+
     def test_subadditive(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
