@@ -26,7 +26,7 @@ import numpy as np
 from .bumps import build_double_pou, build_pou, make_adapted_family, partition_residuals
 from .corpus import generate_corpus
 from .gfio import RunConfig
-from .grid import GridFunction, NormSpec, lp_norm
+from .grid import GridFunction, NormSpec, lp_norm, weak_lp_norm
 from .maximal import cz_decompose, maximal
 from .multipliers import (
     apply_1d,
@@ -242,10 +242,8 @@ def check_cz_invariants(config: RunConfig) -> CheckResult:
 def check_weak11(config: RunConfig) -> CheckResult:
     ratios = []
     for _, f in generate_corpus(config.seed, config.log_size).members:
-        m = np.sort(maximal(f, "hl").values.real)
-        # |{Mf > lambda}| at every level lambda the maximal function takes
-        above = m.size - np.searchsorted(m, m, side="right")
-        ratios.append(np.max(m * (above / m.size)) / lp_norm(f, 1.0))
+        # sup_lambda lambda |{Mf > lambda}|, reached as lambda rises to a value of Mf
+        ratios.append(weak_lp_norm(maximal(f, "hl"), 1.0) / lp_norm(f, 1.0))
     ratio = float(np.max(ratios))
     return CheckResult(
         "weak_1_1_ceiling",

@@ -112,3 +112,16 @@ def test_one_nan_maximal_sample_fails_weak_1_1_ceiling(monkeypatch, tmp_path):
     monkeypatch.setattr(suite_module, "maximal", one_nan_sample)
     result = suite_module.check_weak11(RunConfig(out_dir=str(tmp_path), **SMALL))
     assert not result.passed, result.summary
+
+
+def test_weak_1_1_ceiling_reports_the_supremum(tmp_path):
+    # lambda |{Mf > lambda}| peaks as lambda rises to a value of Mf, which a
+    # strict count at the sample values themselves misses
+    from torusharmonics.corpus import generate_corpus
+    from torusharmonics.grid import lp_norm, weak_lp_norm
+    from torusharmonics.maximal import maximal
+
+    config = RunConfig(out_dir=str(tmp_path), **SMALL)
+    expect = max(weak_lp_norm(maximal(f, "hl"), 1.0) / lp_norm(f, 1.0)
+                 for _, f in generate_corpus(config.seed, config.log_size).members)
+    assert suite_module.check_weak11(config).details["worst"] == expect

@@ -333,3 +333,74 @@ class TestCLIParaproduct2P:
             ["paraproduct", "--params", "1", "--eps", f"file:{eps_path}",
              "--in", str(path), "--in2", str(path2)]
         ) == 2
+
+
+class TestOutputRule:
+    """Every --out gets the command's artifact and a config sidecar; without
+    --out a report is printed."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["rearrange"], "--out"),
+        (["rearrange"], "--emit"),
+        (["zygmund", "--n", "1"], "--out"),
+    ])
+    def test_report_commands_honour_out(self, sample, tmp_path, capsys, argv, flag):
+        _, path = sample
+        out = tmp_path / "report.txt"
+        assert main(argv + ["--in", str(path), flag, str(out)]) == 0
+        assert (tmp_path / "report.txt.config.json").exists()
+        if argv[0] == "rearrange":
+            assert out.read_text().splitlines()[0] == "breakpoint,value"
+        else:
+            assert set(json.loads(out.read_text())) == {"closed_form", "iterated",
+                                                        "relative_gap"}
+            assert capsys.readouterr().out == ""
+
+    def test_rearrange_without_out_prints_only_the_summary(self, sample, capsys):
+        _, path = sample
+        assert main(["rearrange", "--in", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and " steps, support " in lines[0]
+
+    def test_cz_out_writes_json_instead_of_printing(self, sample, tmp_path, capsys):
+        _, path = sample
+        out = tmp_path / "cz.json"
+        assert main(["cz", "--alpha", "8.0", "--in", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert all(json.loads(out.read_text())["checks"].values())
+        assert json.loads((tmp_path / "cz.json.config.json").read_text())["seed"] == 11
+
+    def test_square_mode_validated_at_parse_time(self, sample):
+        _, path = sample
+        for mode in ("bogus", "plain:2", "sup:x"):
+            with pytest.raises(SystemExit) as err:
+                main(["square", "--mode", mode, "--in", str(path)])
+            assert err.value.code == 2
+
+    def test_unknown_symbol_exits_2_at_parse_time(self):
+        with pytest.raises(SystemExit) as err:
+            main(["multiplier", "validate", "--symbol", "bogus"])
+        assert err.value.code == 2
+
+    def test_square_window_honours_scale_margin(self, sample, tmp_path, capsys):
+        _, path = sample
+        cfg = tmp_path / "cfg"
+        cfg.write_text("scale_margin = 5\n")
+        assert main(["--config", str(cfg), "square", "--in", str(path)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("(scale window k=1..3)")
+
+
+@pytest.mark.parametrize("payload", [
+    {str(k): 1.0 for k in range(1, 6)},  # a scalar where a list should be
+    {str(k): [[1.0]] * 2**k for k in range(1, 6)},  # a one-element [re] pair
+    [str(k) for k in range(1, 6)],  # a top-level list (of the scale keys)
+])
+def test_malformed_epsilon_file_is_a_usage_error(sample, tmp_path, capsys, payload):
+    _, path = sample
+    eps_path = tmp_path / "eps.json"
+    eps_path.write_text(json.dumps(payload))
+    code = main(["paraproduct", "--params", "1", "--eps", f"file:{eps_path}",
+                 "--in", str(path), "--in2", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
