@@ -22,6 +22,7 @@ import numpy as np
 
 from .dyadic import DyadicInterval
 from .grid import GridFunction, Spectrum, inverse_transform
+from .transform import Band
 
 #: finest family scale on a grid of 2^L points; keeps >= 8 samples per window
 SCALE_MARGIN = 3
@@ -83,7 +84,8 @@ class AdaptedFamily:
     ``prototypes[k]`` is the scale-k prototype psi_k on a grid of 2^L points;
     the member for I at level k, index j is 2^-k psi_k(x - j 2^-k).  The
     optional ``hat`` callback evaluates psi_k's Fourier coefficients exactly
-    from the defining profiles (used by the spectral identity checks).
+    from the defining profiles (used by the spectral identity checks).  Each
+    prototype's DFT is kept in ``_bands`` once it is first asked for.
     """
 
     log_size: int
@@ -93,6 +95,7 @@ class AdaptedFamily:
     hat: object = None
     constants: dict[int, float] = field(default_factory=dict)
     floor: float | None = None
+    _bands: dict[int, Band] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def k_max(self) -> int:
@@ -108,6 +111,21 @@ class AdaptedFamily:
 
     def prototype_values(self, k: int) -> np.ndarray:
         return self.prototypes[k].values
+
+    def band(self, k: int) -> Band:
+        """psi_k's DFT, cached.  With a ``hat`` callback (the prototype was
+        built from it) the DFT is kept only on the band where the hat is
+        nonzero, so the FFT's rounding noise elsewhere is dropped; without
+        one it is kept at every frequency."""
+        if k not in self._bands:
+            limit = None
+            if self.hat is not None:
+                n = 2**self.log_size
+                freqs = np.fft.fftfreq(n, d=1.0 / n)
+                support = freqs[np.asarray(self.hat(k, freqs)) != 0]
+                limit = int(np.abs(support).max(initial=0))
+            self._bands[k] = Band.of(self.prototype_values(k), limit)
+        return self._bands[k]
 
     def member_values(self, interval: DyadicInterval, offset_samples: int = 0) -> np.ndarray:
         """Samples of phi_I (optionally translated by extra grid samples)."""

@@ -196,7 +196,15 @@ def _emit(result, outfile, config: RunConfig) -> int:
 
 
 def _scale_count(args, config: RunConfig, log_size: int) -> int:
-    return args.scales or log_size - config.scale_margin
+    """K of the scale window k = 1..K: ``--scales``, else L - scale_margin."""
+    if args.scales is not None:
+        count, source = args.scales, f"--scales {args.scales}"
+    else:
+        count = log_size - config.scale_margin
+        source = f"grid exponent {log_size} with scale_margin {config.scale_margin}"
+    if count < 1:
+        raise ValueError(f"{source} gives the empty scale window k = 1..{count}")
+    return count
 
 
 def _rms(f: GridFunction) -> float:

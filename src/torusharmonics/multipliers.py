@@ -6,6 +6,8 @@ one direct lattice sum on any number of axes over the retained band box
 |s_a|, |t_a| <= band: for each frequency s of the first input the whole t
 box is added into a padded spectrum, which is folded onto the grid once; an
 aliasing guard (band <= N/4) keeps every output frequency representable.
+The symbol is evaluated once per slab of s values, a bounded number of
+entries at a time, and the adds keep the order of the per-s loop.
 Symbol smoothness is probed by iterated unit-step finite differences on the
 integer lattice, and the per-scale coefficient tables of the cutoff symbols
 are computed by FFT quadrature on the side-2^k box.
@@ -157,24 +159,32 @@ def _band_box(spec: Spectrum, band: int) -> np.ndarray:
     return centered[tuple(slice(n // 2 - band, n // 2 + band + 1) for n in spec.sizes)]
 
 
+#: symbol values evaluated at once by ``_lattice_spectrum``; bounds its peak memory
+_SLAB = 1 << 16
+
+
 def _lattice_spectrum(m, f: GridFunction, g: GridFunction, band: int) -> np.ndarray:
     """Coefficients of sum_{s,t} m(s, t) f_hat(s) g_hat(t) e^{2 pi i x.(s+t)} on T^d.
 
     s and t run over the box |s_a|, |t_a| <= band; the inputs must vanish
-    outside it.  For each s of the first slot, the whole t box is added into
-    a padded spectrum over |s + t|_a <= 2 band, which is folded onto the grid
-    once at the end, so the (2 band + 1)^{2d} lattice is never formed.
+    outside it.  For each s of the first slot with f_hat(s) != 0, the whole
+    t box is added into a padded spectrum over |s + t|_a <= 2 band, which is
+    folded onto the grid once at the end, so the (2 band + 1)^{2d} lattice
+    is never formed.  The symbol is called once per slab of such s, at most
+    ``_SLAB`` values per call.
     """
     fbox = _band_box(_check_band(f, band, "first input"), band)
     gbox = _band_box(_check_band(g, band, "second input"), band)
     t = np.meshgrid(*[np.arange(-band, band + 1)] * f.dims, indexing="ij")
     padded = np.zeros((4 * band + 1,) * f.dims, dtype=complex)
-    for idx in itertools.product(range(2 * band + 1), repeat=f.dims):
-        fc = fbox[idx]
-        if fc == 0.0:
-            continue
-        s = [i - band for i in idx]
-        padded[tuple(slice(i, i + 2 * band + 1) for i in idx)] += m(*s, *t) * fc * gbox
+    nonzero = np.argwhere(fbox != 0.0)  # row-major: the order of the adds
+    per_slab = max(1, _SLAB // gbox.size)
+    for first in range(0, len(nonzero), per_slab):
+        slab = nonzero[first : first + per_slab]
+        s = [(slab[:, a] - band).reshape((-1,) + (1,) * f.dims) for a in range(f.dims)]
+        values = np.broadcast_to(m(*s, *t), (len(slab),) + gbox.shape)
+        for idx, value in zip(map(tuple, slab.tolist()), values):
+            padded[tuple(slice(i, i + 2 * band + 1) for i in idx)] += value * fbox[idx] * gbox
     out = np.zeros(f.sizes, dtype=complex)
     fold = [np.arange(-2 * band, 2 * band + 1) % n for n in f.sizes]
     np.add.at(out, np.ix_(*fold), padded)

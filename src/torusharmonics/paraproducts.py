@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction
-from .squares import _multilinear, _prototypes, _scale_lists, _trains
+from .squares import _bands, _multilinear, _scale_lists, _spacings, _trains
 from .transform import analysis
 
 
@@ -101,7 +101,7 @@ def paraproduct_2p(spec: ParaproductSpec, f: GridFunction, g: GridFunction) -> G
 def paraproduct_pairing(
     spec: ParaproductSpec, f: GridFunction, g: GridFunction, h: GridFunction
 ) -> complex:
-    """<T(f, g), h> = sum over samples of T's weight trains times h's lags.
+    """<T(f, g), h> = sum over the lattice of T's weight trains times h's lags.
 
     The lags of h against the output prototype are the pairings
     <phi^3_{R_alpha}, h> up to the member scaling the trains already carry,
@@ -111,5 +111,5 @@ def paraproduct_pairing(
     slots, shifts, offsets = _terms(spec, f, g, h)
     scales = _scale_lists(zip(*slots))
     trains = _trains((f.values, g.values), slots[:2], spec.epsilon, shifts, scales, offsets)
-    lags_h = analysis(h.values, _prototypes(slots[2], scales))
+    lags_h = analysis(h.values, _bands(slots[2], scales), _spacings(scales, h.sizes, offsets))
     return complex(sum(np.sum(train * lag) for train, lag in zip(trains, lags_h)))

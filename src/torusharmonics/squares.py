@@ -2,13 +2,15 @@
 
 Every operator here reads the pairings <phi_R, f> off the lag arrays of
 ``transform.analysis`` (one forward FFT of f per call, one inverse FFT per
-scale tuple): dyadic, shifted and fractionally shifted boxes read their lags
-by striding.  Two private builders serve every axis count: ``_envelope``
-aggregates |<phi_R, f>| / |R| into square functions, hybrids and the adapted
-maximal function, and ``_trains`` turns the pairings of one or more inputs
-into the weight trains of a multilinear sum over boxes, which
-``transform.synthesis`` inverts once (the sign linearization here, the
-paraproducts in ``paraproducts``).  Both walk the scale tuples of
+scale tuple).  The lags are computed only on the lattice the boxes start on
+(``_lattice``): multiples of the step for dyadic and shifted boxes, of the
+stride of the fractional shifts otherwise, so a scale-k lag array has 2^k
+entries per axis, or 2^k times the number of shifts.  Two private builders
+serve every axis count: ``_envelope`` aggregates |<phi_R, f>| / |R| into
+square functions, hybrids and the adapted maximal function, and ``_trains``
+turns the pairings of one or more inputs into the weight trains of a
+multilinear sum over boxes, which ``transform.synthesis`` inverts once (the
+sign linearization here, the paraproducts in ``paraproducts``).  Both walk the scale tuples of
 ``_scale_lists``, which drops scales at which a prototype is identically
 zero.  Scalars eps_R live in one ``EpsilonField`` keyed by scale tuples.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,9 @@ from .transform import analysis, synthesis
 class EpsilonField:
     """Per-box scalars eps_R keyed by scale tuples, normalized to |eps| <= 1.
 
+    Every scalar must be finite: a NaN would pass the normalization and
+    reach every output.
+
     ``scales[(k_1, ..., k_d)]`` has shape (2^k_1, ..., 2^k_d), one scalar per
     dyadic box of that scale tuple; an int key k stands for (k,).  The
     random and constant fields fill every tuple of the given scale ranges in
@@ -40,6 +46,9 @@ class EpsilonField:
 
     def __post_init__(self):
         self.scales = {(k if isinstance(k, tuple) else (k,)): v for k, v in self.scales.items()}
+        bad = sum(int(np.count_nonzero(~np.isfinite(v))) for v in self.scales.values())
+        if bad:
+            raise ValueError(f"{bad} eps values are NaN or infinite")
         sup = max((np.abs(v).max() for v in self.scales.values() if v.size), default=0.0)
         if sup > 1.0:
             self.scales = {k: v / sup for k, v in self.scales.items()}
@@ -86,17 +95,30 @@ def _alpha_offsets(step: int, max_offsets: int = 64) -> np.ndarray:
     return np.arange(0, step, stride)
 
 
+def _lattice(size: int, k: int, max_offsets: int | None = None):
+    """(s, offsets): the spacing of the samples the scale-k boxes start on, and
+    their fractional shifts ``_alpha_offsets`` (o = 0 alone without ``max_offsets``)."""
+    step = size >> k
+    offsets = np.zeros(1, dtype=int) if max_offsets is None else _alpha_offsets(step, max_offsets)
+    return math.gcd(step, *offsets.tolist()), offsets
+
+
+def _spacings(scale_lists, sizes, max_offsets=None) -> list[list[int]]:
+    """Per axis, the lattice spacing of ``_boxes`` at each scale, for ``analysis``."""
+    return [[_lattice(size, k, max_offsets)[0] for k in ks] for ks, size in zip(scale_lists, sizes)]
+
+
 def _boxes(ks, sizes, max_offsets: int | None = None) -> list[np.ndarray]:
-    """Per axis, the start sample j step + o of the scale-k member on I_j.
+    """Per axis, the start sample j step + o of the scale-k member on I_j,
+    in units of the lattice spacing s of ``_lattice``.
 
     Row j is the dyadic interval, the columns the fractional shifts o of
     ``_alpha_offsets``, or o = 0 alone when ``max_offsets`` is None.
     """
     boxes = []
     for k, size in zip(ks, sizes):
-        step = size >> k
-        offsets = [0] if max_offsets is None else _alpha_offsets(step, max_offsets)
-        boxes.append((np.arange(2**k) * step)[:, None] + offsets)
+        s, offsets = _lattice(size, k, max_offsets)
+        boxes.append(((np.arange(2**k) * (size >> k))[:, None] + offsets) // s)
     return boxes
 
 
@@ -109,9 +131,9 @@ def _read(lags: np.ndarray, boxes, shifts) -> np.ndarray:
     return lags[np.ix_(*index)].reshape([m for box in boxes for m in box.shape])
 
 
-def _prototypes(fams, scale_lists) -> list[list[np.ndarray]]:
-    """Per axis, the samples of that axis's family at each of its scales."""
-    return [[fam.prototype_values(k) for k in ks] for fam, ks in zip(fams, scale_lists)]
+def _bands(fams, scale_lists):
+    """Per axis, the cached DFT of that axis's family at each of its scales."""
+    return [[fam.band(k) for k in ks] for fam, ks in zip(fams, scale_lists)]
 
 
 def _scale_lists(axes) -> list[list[int]]:
@@ -125,7 +147,7 @@ def _scale_lists(axes) -> list[list[int]]:
         [
             k
             for k in sorted(set.intersection(*(set(fam.scales) for fam in fams)))
-            if all(fam.prototype_values(k).any() for fam in fams)
+            if all(fam.band(k).values.any() for fam in fams)
         ]
         for fams in axes
     ]
@@ -152,11 +174,13 @@ def coefficient_field(
     """
     if f.dims != 1 or f.log_sizes[0] != fam.log_size:
         raise ValueError("input grid does not match the family grid")
+    # the boxes of one scale start on the coset round(alpha step) + step Z
+    steps = [f.sizes[0] >> k for k in fam.scales]
+    offsets = [int(round(alpha * step)) for step in steps]
+    lag_arrays = analysis(f.values, _bands([fam], [fam.scales]), [steps], [offsets])
     scales = {}
-    for k, lags in zip(fam.scales, analysis(f.values, _prototypes([fam], [fam.scales]))):
-        step = lags.size >> k
-        box = np.arange(2**k)[:, None] * step + int(round(alpha * step))
-        scales[k] = 2.0**-k * _read(lags, [box], (n,))[:, 0]
+    for k, lags in zip(fam.scales, lag_arrays):
+        scales[k] = 2.0**-k * _read(lags, [np.arange(2**k)[:, None]], (n,))[:, 0]
     return CoefficientField(fam, (n, alpha), scales)
 
 
@@ -168,18 +192,23 @@ def _envelope(f, fams, kind, shifts, max_offsets=None) -> np.ndarray:
     ``max_offsets`` the pairing is also maximized over the fractional shifts
     of ``_alpha_offsets`` per axis.  The aggregates run as the scale tuples
     arrive, so one lag array and one partial aggregate per axis are alive.
+    They are held on the cells of each axis's finest scale, where every box
+    aggregate is constant, and spread onto the grid once at the end.
     """
     scale_lists = _scale_lists((fam,) for fam in fams)
     if not all(scale_lists):
         return np.zeros(f.sizes)
-    lag_arrays = analysis(f.values, _prototypes(fams, scale_lists))
+    lag_arrays = analysis(
+        f.values, _bands(fams, scale_lists), _spacings(scale_lists, f.sizes, max_offsets)
+    )
+    finest = [scales[-1] for scales in scale_lists]
     partial = [None] * len(fams)
     for ks, lags in zip(itertools.product(*scale_lists), lag_arrays):
         # the members' 2^-k scalings cancel against |R|
         amp = np.abs(_read(lags, _boxes(ks, f.sizes, max_offsets), shifts))
         amp = amp.max(axis=tuple(range(1, 2 * len(ks), 2)))
         for axis, k in enumerate(ks):
-            amp = np.repeat(amp, f.sizes[axis] >> k, axis=axis)
+            amp = np.repeat(amp, 2 ** (finest[axis] - k), axis=axis)
         for axis in reversed(range(len(fams))):
             if kind[axis] == "S":
                 amp = amp**2
@@ -193,6 +222,8 @@ def _envelope(f, fams, kind, shifts, max_offsets=None) -> np.ndarray:
                 break
             amp = np.sqrt(partial[axis]) if kind[axis] == "S" else partial[axis]
             partial[axis] = None
+    for axis, k in enumerate(finest):
+        amp = np.repeat(amp, f.sizes[axis] >> k, axis=axis)
     return amp
 
 
@@ -201,8 +232,9 @@ def _trains(inputs, fams, eps, shifts, scales, max_offsets=None):
 
     Input i pairs against the tensor members of its per-axis families
     ``fams[i]`` on the boxes R^{n_i}_alpha, moved by n_i = ``shifts[i]``
-    intervals on every axis.  At the start sample of each box R_alpha the
-    train holds
+    intervals on every axis.  The train holds the samples of the boxes'
+    lattice (``_lattice``, as ``synthesis`` reads it); at the start of each
+    box R_alpha it holds
 
         eps_R prod_i lag_i[R^{n_i}_alpha] 2^-(k_1 + ... + k_d) / #alpha,
 
@@ -212,14 +244,17 @@ def _trains(inputs, fams, eps, shifts, scales, max_offsets=None):
     alpha of ``_boxes`` (their product over the axes); without it alpha = 0.
     """
     sizes = inputs[0].shape
-    streams = [analysis(u, _prototypes(axis_fams, scales)) for u, axis_fams in zip(inputs, fams)]
+    spacings = _spacings(scales, sizes, max_offsets)
+    streams = [
+        analysis(u, _bands(axis_fams, scales), spacings) for u, axis_fams in zip(inputs, fams)
+    ]
     for ks, *lags in zip(itertools.product(*scales), *streams):
         boxes = _boxes(ks, sizes, max_offsets)
         weight = eps.at(*ks).reshape([m for k in ks for m in (2**k, 1)])
         for lag, n in zip(lags, shifts):
             weight = weight * _read(lag, boxes, (n,) * len(ks))
         count = np.prod([box.shape[1] for box in boxes])
-        train = np.zeros(sizes, dtype=np.complex128)
+        train = np.zeros(lags[0].shape, dtype=np.complex128)
         train[np.ix_(*(box.ravel() for box in boxes))] = (
             weight * 2.0 ** -sum(ks) / count
         ).reshape([box.size for box in boxes])
@@ -237,7 +272,7 @@ def _multilinear(inputs, slots, eps, shifts, max_offsets=None) -> np.ndarray:
     if not all(scales):
         return np.zeros(inputs[0].shape, dtype=np.complex128)
     trains = _trains(inputs, slots[:-1], eps, shifts, scales, max_offsets)
-    return synthesis(trains, _prototypes(slots[-1], scales))
+    return synthesis(trains, _bands(slots[-1], scales))
 
 
 def square_function(

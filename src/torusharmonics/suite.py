@@ -431,6 +431,11 @@ def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
     # 1D operators at L and L+1 on the same continuum corpus
     base = generate_corpus(config.seed, config.log_size)
     fine = base.resample(config.log_size + 1)
+    # one eps field, drawn at the finer size's window, serves both sizes, so
+    # a drift compares one operator at two resolutions
+    eps = EpsilonField.rademacher(
+        config.seed, range(1, _scale_count(config, config.log_size + 1) + 1)
+    )
     ratios = {}
     for log_size, corpus in ((config.log_size, base), (config.log_size + 1, fine)):
         K = _scale_count(config, log_size)
@@ -442,7 +447,6 @@ def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
         ratios[(log_size, "S")] = probe_norm(
             lambda f: square_function(f, fam1), "S", (l2,), l2, funcs
         ).max_ratio
-        eps = EpsilonField.rademacher(config.seed, range(1, K + 1))
         ratios[(log_size, "T_eps")] = probe_norm(
             lambda f: linearize(f, fam1, fam2, eps), "T_eps", (l2,), l2, funcs
         ).max_ratio
@@ -475,6 +479,10 @@ def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
     descriptors2 = [
         SpectralNoise2D(f"bl{i}", config.seed + 10 * i, band=band2d) for i in range(7)
     ]
+    # drawn in product order, a field over a larger window gives different
+    # signs on the common tuples, so both sizes read this one
+    k2 = range(1, config.log_size_2d + 1 - config.scale_margin + 1)
+    eps2 = EpsilonField.rademacher(config.seed, k2, k2)
     for log2d in (config.log_size_2d, config.log_size_2d + 1):
         K2 = log2d - config.scale_margin
         fam = make_adapted_family("from_pou_1", K2, log2d)
@@ -484,9 +492,6 @@ def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
         ratios[(log2d, "SS")] = probe_norm(
             lambda f: hybrid(f, (fam, fam), "SS"), "SS", (l2,), l2, funcs2
         ).max_ratio
-        eps2 = EpsilonField.rademacher(
-            config.seed, range(1, K2 + 1), range(1, K2 + 1)
-        )
         spec2 = ParaproductSpec(
             params=2,
             families=((fam, fam_b, fam), (fam, fam_b, fam)),

@@ -2,6 +2,7 @@
 its runtime budget at the default configuration.  One line is printed per
 criterion (run pytest with -s to see them all)."""
 
+import itertools
 import json
 import math
 import time
@@ -125,3 +126,43 @@ def test_weak_1_1_ceiling_reports_the_supremum(tmp_path):
     expect = max(weak_lp_norm(maximal(f, "hl"), 1.0) / lp_norm(f, 1.0)
                  for _, f in generate_corpus(config.seed, config.log_size).members)
     assert suite_module.check_weak11(config).details["worst"] == expect
+
+
+def test_boundedness_sweeps_read_one_eps_field_at_both_sizes(monkeypatch, tmp_path):
+    # each drift compares one operator at two resolutions, so both sizes
+    # must read the same eps_R on their common scale tuples; drawn
+    # separately in product order, the 2D fields differed from (2, 1) on
+    seen = {}
+    for name in ("paraproduct_1p", "paraproduct_2p"):
+        def record(spec, f, g, _real=getattr(suite_module, name)):
+            seen.setdefault(f.log_sizes, spec.epsilon)
+            return _real(spec, f, g)
+
+        monkeypatch.setattr(suite_module, name, record)
+    config = RunConfig(out_dir=str(tmp_path), **SMALL)
+    suite_module.check_boundedness_sweeps(config)
+    L, L2 = config.log_size, config.log_size_2d
+    for coarse, fine in (((L,), (L + 1,)), ((L2, L2), (L2 + 1, L2 + 1))):
+        K = coarse[0] - config.scale_margin
+        tuples = list(itertools.product(range(1, K + 1), repeat=len(coarse)))
+        assert len(tuples) == K ** len(coarse)
+        for ks in tuples:
+            assert np.array_equal(seen[coarse].at(*ks), seen[fine].at(*ks))
+
+
+def test_para2_drift_gate_catches_a_scaled_operator(monkeypatch, tmp_path):
+    # paraproduct_2p scaled by 1.15 at the finer 2D size (grids 9/7): with
+    # one eps field the drift is the operator's own, and the gate fails
+    exact = suite_module.paraproduct_2p
+
+    def scaled_at_fine_size(spec, f, g):
+        out = exact(spec, f, g)
+        factor = 1.15 if f.log_sizes == (8, 8) else 1.0
+        return GridFunction(out.log_sizes, factor * out.values)
+
+    config = RunConfig(out_dir=str(tmp_path), log_size=9, log_size_2d=7, seed=11)
+    assert suite_module.check_boundedness_sweeps(config).details["drifts"]["para2"] < 1e-4
+    monkeypatch.setattr(suite_module, "paraproduct_2p", scaled_at_fine_size)
+    result = suite_module.check_boundedness_sweeps(config)
+    assert result.details["drifts"]["para2"] > 0.10
+    assert [g.name for g in result.gates if not g.passed] == ["para2 drift over one doubling"]

@@ -404,3 +404,41 @@ def test_malformed_epsilon_file_is_a_usage_error(sample, tmp_path, capsys, paylo
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_nan_constant_epsilon_is_a_usage_error(sample, capsys):
+    _, path = sample
+    code = main(["paraproduct", "--params", "1", "--eps", "constant:nan",
+                 "--in", str(path), "--in2", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "NaN or infinite" in err and err.count("\n") == 1
+
+
+def test_nan_in_epsilon_file_is_a_usage_error(sample, tmp_path, capsys):
+    _, path = sample
+    payload = {str(k): [1.0] * 2**k for k in range(1, 6)}
+    payload["3"][5] = float("nan")
+    eps_path = tmp_path / "eps.json"
+    eps_path.write_text(json.dumps(payload))  # json writes the NaN literal
+    code = main(["paraproduct", "--params", "1", "--eps", f"file:{eps_path}",
+                 "--in", str(path), "--in2", str(path)])
+    assert code == 2
+    assert "1 eps values are NaN or infinite" in capsys.readouterr().err
+
+
+def test_scale_margin_leaving_no_scale_is_a_usage_error(sample, tmp_path, capsys):
+    _, path = sample
+    cfg = tmp_path / "cfg"
+    cfg.write_text("scale_margin = 8\n")
+    assert main(["--config", str(cfg), "square", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: grid exponent 8 with scale_margin 8 gives the empty scale window k = 1..0\n"
+    )
+
+
+def test_negative_scales_is_a_usage_error(sample, capsys):
+    _, path = sample
+    assert main(["square", "--scales", "-1", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == "error: --scales -1 gives the empty scale window k = 1..-1\n"

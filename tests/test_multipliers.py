@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import torusharmonics.multipliers as multipliers
 from torusharmonics.grid import (
     GridFunction,
     Spectrum,
@@ -144,6 +147,73 @@ class TestBiparameter:
         x = np.arange(64) / 64
         expect = scalar * np.exp(2j * np.pi * (3 * x[:, None] + 1 * x[None, :]))
         assert np.abs(out.values - expect).max() < 1e-10
+
+
+def per_s_lattice_spectrum(m, f, g, band):
+    """The lattice sum with one symbol call per first-slot frequency s: the
+    loop the slab batching replaced, kept as its oracle."""
+    fbox = multipliers._band_box(fourier_coefficients(f), band)
+    gbox = multipliers._band_box(fourier_coefficients(g), band)
+    t = np.meshgrid(*[np.arange(-band, band + 1)] * f.dims, indexing="ij")
+    padded = np.zeros((4 * band + 1,) * f.dims, dtype=complex)
+    for idx in itertools.product(range(2 * band + 1), repeat=f.dims):
+        fc = fbox[idx]
+        if fc == 0.0:
+            continue
+        s = [i - band for i in idx]
+        padded[tuple(slice(i, i + 2 * band + 1) for i in idx)] += m(*s, *t) * fc * gbox
+    out = np.zeros(f.sizes, dtype=complex)
+    fold = [np.arange(-2 * band, 2 * band + 1) % n for n in f.sizes]
+    np.add.at(out, np.ix_(*fold), padded)
+    return out
+
+
+def _band_limited_2d(seed, band, log_size=6):
+    rng = np.random.default_rng(seed)
+    n = 2**log_size
+    coeffs = np.zeros((n, n), dtype=complex)
+    idx = rng.integers(-band, band + 1, size=(40, 2)) % n
+    coeffs[idx[:, 0], idx[:, 1]] = rng.normal(size=40) + 1j * rng.normal(size=40)
+    return inverse_transform(Spectrum((log_size, log_size), coeffs))
+
+
+class TestSlabbedLatticeSpectrum:
+    """The symbol is called once per slab of first-slot frequencies; every
+    add into the padded spectrum keeps its order, so the sum is bit-identical
+    to the per-s loop."""
+
+    @pytest.mark.parametrize("slab", [1, 7, multipliers._SLAB])
+    @pytest.mark.parametrize("name", ["bilinear_constant", "ratio_x2", "ratio_xy"])
+    def test_1d_equals_per_s_loop(self, monkeypatch, slab, name):
+        monkeypatch.setattr(multipliers, "_SLAB", slab)
+        f, g = random_band_limited(31, N // 4), random_band_limited(32, N // 4)
+        got = multipliers._lattice_spectrum(REG[name], f, g, N // 4)
+        assert np.array_equal(got, per_s_lattice_spectrum(REG[name], f, g, N // 4))
+
+    @pytest.mark.parametrize("slab", [1, 7, multipliers._SLAB])
+    @pytest.mark.parametrize("name", ["biparameter_product", "biparameter_constant"])
+    def test_2d_equals_per_s_loop(self, monkeypatch, slab, name):
+        monkeypatch.setattr(multipliers, "_SLAB", slab)
+        f, g = _band_limited_2d(33, 8), _band_limited_2d(34, 8)
+        got = multipliers._lattice_spectrum(REG[name], f, g, 8)
+        assert np.array_equal(got, per_s_lattice_spectrum(REG[name], f, g, 8))
+
+    @pytest.mark.parametrize("slab", [1, 7, multipliers._SLAB])
+    def test_scalar_symbol_is_broadcast(self, monkeypatch, slab):
+        # the trilinear check's constant symbol returns one float
+        monkeypatch.setattr(multipliers, "_SLAB", slab)
+        f, g = _band_limited_2d(35, 8), _band_limited_2d(36, 8)
+        got = multipliers._lattice_spectrum(lambda *st: 1.0, f, g, 8)
+        assert np.array_equal(got, per_s_lattice_spectrum(lambda *st: 1.0, f, g, 8))
+
+    def test_calls_per_slab(self, monkeypatch):
+        monkeypatch.setattr(multipliers, "_SLAB", 7 * 17**2)
+        f, g = _band_limited_2d(37, 8), _band_limited_2d(38, 8)
+        calls = []
+        symbol = REG["biparameter_product"]
+        multipliers._lattice_spectrum(lambda *st: calls.append(1) or symbol(*st), f, g, 8)
+        nonzero = int(np.count_nonzero(multipliers._band_box(fourier_coefficients(f), 8)))
+        assert len(calls) == -(-nonzero // 7)
 
 
 class TestValidate:

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+import torusharmonics.squares as squares
 from torusharmonics.bumps import make_adapted_family
 from torusharmonics.dyadic import DyadicInterval
 from torusharmonics.grid import GridFunction, inner_product, lp_norm
@@ -260,6 +263,25 @@ class TestHybrid:
                 total += np.repeat(np.repeat(amp**2, 256 >> k1, axis=0), 256 >> k2, axis=1)
         assert np.abs(ss - np.sqrt(total)).max() <= 1e-12 * np.abs(ss).max()
 
+    def test_each_scale_pair_inverts_only_its_lattice(self, fam2d, monkeypatch):
+        # one forward FFT of the 256^2 input, then per nonzero scale pair an
+        # inverse FFT of the 2^k1 x 2^k2 lattice the dyadic boxes start on,
+        # N/s points per axis instead of N
+        rng = np.random.default_rng(23)
+        f = GridFunction((8, 8), rng.normal(size=(256, 256)))
+        shapes = {"fftn": [], "ifftn": []}
+        for name, seen in shapes.items():
+            def counted(*args, _transform=getattr(np.fft, name), _seen=seen, **kwargs):
+                out = _transform(*args, **kwargs)
+                _seen.append(out.shape)
+                return out
+
+            monkeypatch.setattr(np.fft, name, counted)
+        hybrid(f, (fam2d, fam2d), "SS")
+        monkeypatch.undo()
+        assert shapes["fftn"] == [(256, 256)]
+        assert shapes["ifftn"] == [(2**k1, 2**k2) for k1 in (3, 4, 5) for k2 in (3, 4, 5)]
+
     def test_axis_without_nonzero_scale_gives_zeros(self):
         # from_pou_1 at K = 2 has no nonzero prototype
         fam = make_adapted_family("from_pou_1", 2, 8)
@@ -267,6 +289,62 @@ class TestHybrid:
         assert (square_function(f, fam).values == 0).all()
         f2 = GridFunction((8, 8), np.outer(f.values, f.values))
         assert (hybrid(f2, (fam, make_adapted_family("from_pou_1", 5, 8)), "MS").values == 0).all()
+
+
+def full_grid_envelope(f, fams, kind, shifts, max_offsets=None):
+    """``squares._envelope`` with every box aggregate spread onto the whole
+    grid before it is aggregated: the loop the finest-cell aggregation
+    replaced, kept as its oracle."""
+    scale_lists = squares._scale_lists((fam,) for fam in fams)
+    lag_arrays = squares.analysis(
+        f.values,
+        squares._bands(fams, scale_lists),
+        squares._spacings(scale_lists, f.sizes, max_offsets),
+    )
+    partial = [None] * len(fams)
+    for ks, lags in zip(itertools.product(*scale_lists), lag_arrays):
+        amp = np.abs(squares._read(lags, squares._boxes(ks, f.sizes, max_offsets), shifts))
+        amp = amp.max(axis=tuple(range(1, 2 * len(ks), 2)))
+        for axis, k in enumerate(ks):
+            amp = np.repeat(amp, f.sizes[axis] >> k, axis=axis)
+        for axis in reversed(range(len(fams))):
+            if kind[axis] == "S":
+                amp = amp**2
+            if partial[axis] is None:
+                partial[axis] = amp
+            elif kind[axis] == "S":
+                partial[axis] += amp
+            else:
+                np.maximum(partial[axis], amp, out=partial[axis])
+            if ks[axis] != scale_lists[axis][-1]:
+                break
+            amp = np.sqrt(partial[axis]) if kind[axis] == "S" else partial[axis]
+            partial[axis] = None
+    return amp
+
+
+@pytest.mark.parametrize(
+    "log_sizes, kind, shifts, max_offsets",
+    [
+        ((10,), "S", (0,), None),
+        ((10,), "S", (1,), 64),
+        ((10,), "M", (2,), None),
+        ((8, 8), "SS", (0, 0), None),
+        ((8, 8), "MS", (1, 0), None),
+        ((8, 8), "SM", (0, 1), 4),
+        ((8, 7), "MM", (1, 1), 16),
+        ((6, 6, 6), "MSM", (0, 1, 0), None),
+    ],
+)
+def test_envelope_equals_full_grid_aggregation(log_sizes, kind, shifts, max_offsets):
+    # the aggregates are held on the finest scale's cells and spread once;
+    # every value is computed by the same operations in the same order
+    rng = np.random.default_rng(len(kind) + sum(shifts))
+    fams = [make_adapted_family("from_pou_1", L - 3, L) for L in log_sizes]
+    shape = tuple(2**L for L in log_sizes)
+    f = GridFunction(log_sizes, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    got = squares._envelope(f, fams, kind, shifts, max_offsets)
+    assert np.array_equal(got, full_grid_envelope(f, fams, kind, shifts, max_offsets))
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +427,14 @@ class TestEpsilon:
         assert eps.at(2).shape == (4,) and eps.at(1, 2).shape == (2, 4)
         three = EpsilonField.constant(0.5, range(1, 3), range(1, 2), range(2, 3))
         assert three.at(2, 1, 2).shape == (4, 2, 4) and len(three.scales) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_values_are_rejected(self, bad):
+        # a NaN would pass the sup > 1 normalization and reach every output
+        with pytest.raises(ValueError, match="1 eps values are NaN or infinite"):
+            EpsilonField({1: np.array([1.0, bad]), 2: np.ones(4)})
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            EpsilonField.constant(bad, range(1, 3))
 
     def test_rademacher_draws_in_product_order(self):
         # the stream of sequential per-scale draws, 1D and 2D (row-major)
