@@ -241,6 +241,10 @@ def maximal(f: GridFunction, kind: str = "hl", n: int = 0, axis: int = 0) -> Gri
     kind: 'hl' (all grid intervals), 'dyadic', 'shifted' (uses ``n``),
     'shifted_sup' (sup over fractional shifts too), 'strong' (2D),
     'directional' (1D operator along ``axis`` of a 2D input).
+
+    'dyadic' propagates a NaN sample only within the dyadic blocks that hold
+    it: the output is NaN on the half of the torus (the level-1 block) that
+    contains the sample and finite on the other half.
     """
     absvals = np.abs(f.values)
     if kind in ("hl", "dyadic", "shifted", "shifted_sup"):

@@ -143,6 +143,10 @@ class KhinchineReport:
         ]))
 
 
+#: sign rows drawn and summed at once by ``khinchine_experiment``
+_KHINCHINE_ROWS = 8192
+
+
 def khinchine_experiment(
     coefficients,
     p_list=(1.0, 4.0),
@@ -156,8 +160,12 @@ def khinchine_experiment(
     if not l2 > 0:
         raise ValueError("coefficient vector must be nonzero")
     rng = np.random.default_rng(seed)
-    signs = rng.choice([-1.0, 1.0], size=(samples, a.size))
-    sums = signs @ a
+    # the draws and their sums row chunk by row chunk: the same stream and the
+    # same row sums as one whole array, in bounded memory
+    sums = np.concatenate([
+        rng.choice([-1.0, 1.0], size=(min(_KHINCHINE_ROWS, samples - start), a.size)) @ a
+        for start in range(0, samples, _KHINCHINE_ROWS)
+    ])
     sq = np.abs(sums) ** 2
     l2_moment = float(sq.mean())
     l2_stderr = float(sq.std(ddof=1) / math.sqrt(samples))
@@ -314,13 +322,18 @@ class MaximalZygmundReport:
 
 
 def llogl_maximal_experiment(
-    corpus: Corpus, t_lo: float = 1.0 / 64, t_hi: float = 0.5
+    corpus: Corpus, t_lo: float = 1.0 / 64, t_hi: float = 0.5, maxima=None
 ) -> MaximalZygmundReport:
-    """Compare ||Mf||_1 with the L log L norm and (Mf)* with f** pointwise."""
+    """Compare ||Mf||_1 with the L log L norm and (Mf)* with f** pointwise.
+
+    ``maxima`` are the members' ``maximal(f, "hl")`` in member order, when
+    the caller has them already; they are computed here otherwise.
+    """
     ratios, profiles = {}, {}
     lows, highs = [np.empty(0)], [np.empty(0)]
-    for name, f in corpus.members:
-        mf = maximal(f, "hl")
+    if maxima is None:
+        maxima = [maximal(f, "hl") for f in corpus.functions()]
+    for (name, f), mf in zip(corpus.members, maxima, strict=True):
         mf_l1 = lp_norm(mf, 1.0)
         zyg = zygmund_norm(f, 1, "closed_form")
         ratios[name] = mf_l1 / zyg

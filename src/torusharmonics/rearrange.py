@@ -129,21 +129,25 @@ class _PiecewiseStarCurve:
         return out
 
     def prefix_integral_at_cuts(self) -> np.ndarray:
-        """F(cuts[m]) for F(t) = int_0^t g, exact per-piece antiderivatives."""
-        n_pieces, n_basis = self.coef.shape
-        totals = np.zeros(len(self.cuts))
-        for m in range(n_pieces):
-            t0, t1 = self.cuts[m], self.cuts[m + 1]
-            totals[m + 1] = totals[m] + self._piece_integral(m, t0, t1)
-        return totals
+        """F(cuts[m]) for F(t) = int_0^t g, exact per-piece antiderivatives.
 
-    def _piece_integral(self, m, t0, t1):
-        total = 0.0
-        for j, c in enumerate(self.coef[m]):
-            if c == 0.0:
-                continue
-            total += c * (_basis_antideriv(j, t1) - _basis_antideriv(j, t0))
-        return total
+        Piece m's upper cut is piece m + 1's lower one, so each basis
+        antiderivative a piece reads there is taken once.
+        """
+        totals = np.zeros(len(self.cuts))
+        upper: dict[int, float] = {}
+        for m, coef in enumerate(self.coef):
+            lower, upper = upper, {}
+            total = 0.0
+            for j, c in enumerate(coef):
+                if c == 0.0:
+                    continue
+                upper[j] = _basis_antideriv(j, self.cuts[m + 1])
+                if j not in lower:
+                    lower[j] = _basis_antideriv(j, self.cuts[m])
+                total += c * (upper[j] - lower[j])
+            totals[m + 1] = totals[m] + total
+        return totals
 
     def integral(self) -> float:
         """int_0^1 of the curve."""
@@ -257,11 +261,13 @@ def zygmund_norm(f, n: int = 1, method: str = "closed_form") -> float:
         raise ValueError("method must be 'iterated' or 'closed_form'")
     if n == 0:
         return profile.l1_norm()
+    # each breakpoint's antiderivative is also the next piece's lower end
     total = 0.0
-    lower = 0.0
+    lower = 0.0  # the antiderivative at t = 0
     for t1, a in zip(profile.breakpoints, profile.values):
-        total += a * (_log_moment_antideriv(n, t1) - _log_moment_antideriv(n, lower))
-        lower = t1
+        upper = _log_moment_antideriv(n, t1)
+        total += a * (upper - lower)
+        lower = upper
     return total / math.factorial(n)
 
 

@@ -73,6 +73,20 @@ class EpsilonField:
         )
 
     @staticmethod
+    def stack(fields) -> "EpsilonField":
+        """Several fields as one with a leading batch axis, on the scale tuples
+        they all hold; an operator given it returns one output per field."""
+        keys = set.intersection(*(set(f.scales) for f in fields))
+        return EpsilonField({ks: np.stack([f.scales[ks] for f in fields]) for ks in sorted(keys)})
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        """The leading shape a stacked field carries, () for a single field."""
+        for ks, v in self.scales.items():
+            return v.shape[: v.ndim - len(ks)]
+        return ()
+
+    @staticmethod
     def separable(*fields: "EpsilonField") -> "EpsilonField":
         """eps_{R_1 x R_2 x ...} = prod_i eps^i_{R_i}, one field per group of axes."""
         return EpsilonField(
@@ -248,16 +262,18 @@ def _trains(inputs, fams, eps, shifts, scales, max_offsets=None):
     streams = [
         analysis(u, _bands(axis_fams, scales), spacings) for u, axis_fams in zip(inputs, fams)
     ]
+    batch = eps.batch
+    lead = (Ellipsis,) if batch else ()
     for ks, *lags in zip(itertools.product(*scales), *streams):
         boxes = _boxes(ks, sizes, max_offsets)
-        weight = eps.at(*ks).reshape([m for k in ks for m in (2**k, 1)])
+        weight = eps.at(*ks).reshape(batch + tuple(m for k in ks for m in (2**k, 1)))
         for lag, n in zip(lags, shifts):
             weight = weight * _read(lag, boxes, (n,) * len(ks))
         count = np.prod([box.shape[1] for box in boxes])
-        train = np.zeros(lags[0].shape, dtype=np.complex128)
-        train[np.ix_(*(box.ravel() for box in boxes))] = (
+        train = np.zeros(batch + lags[0].shape, dtype=np.complex128)
+        train[lead + np.ix_(*(box.ravel() for box in boxes))] = (
             weight * 2.0 ** -sum(ks) / count
-        ).reshape([box.size for box in boxes])
+        ).reshape(batch + tuple(box.size for box in boxes))
         yield train
 
 
@@ -270,7 +286,7 @@ def _multilinear(inputs, slots, eps, shifts, max_offsets=None) -> np.ndarray:
     """
     scales = _scale_lists(zip(*slots))
     if not all(scales):
-        return np.zeros(inputs[0].shape, dtype=np.complex128)
+        return np.zeros(eps.batch + inputs[0].shape, dtype=np.complex128)
     trains = _trains(inputs, slots[:-1], eps, shifts, scales, max_offsets)
     return synthesis(trains, _bands(slots[-1], scales))
 
@@ -303,16 +319,19 @@ def linearize(
     f: GridFunction,
     fam1: AdaptedFamily,
     fam2: AdaptedFamily,
-    eps: EpsilonField,
+    eps,
     n: int = 0,
     average_alpha: bool = False,
     max_offsets: int = 64,
-) -> GridFunction:
+):
     """T_eps f = sum_I eps_I <phi^1_{I^n}, f> phi^2_I with normalized members.
 
     With ``average_alpha`` the sum is averaged over the grid-representable
     fractional shifts of both families (the discretization of the integral
-    over alpha).
+    over alpha).  ``eps`` is one ``EpsilonField``, giving one output, or a
+    sequence of them, giving the list of outputs, one per field: f is
+    analysed once and every field's sum runs in one batched synthesis, each
+    output bit for bit the one its field gives alone.
     """
     for fam in (fam1, fam2):
         if not fam.zero_mean:
@@ -320,9 +339,12 @@ def linearize(
         if f.dims != 1 or f.log_sizes[0] != fam.log_size:
             raise ValueError("input grid does not match the family grid")
     offsets = max_offsets if average_alpha else None
-    return GridFunction(
-        f.log_sizes, _multilinear((f.values,), [(fam1,), (fam2,)], eps, (n,), offsets)
-    )
+    single = isinstance(eps, EpsilonField)
+    draws = eps if single else EpsilonField.stack(eps)
+    out = _multilinear((f.values,), [(fam1,), (fam2,)], draws, (n,), offsets)
+    if single:
+        return GridFunction(f.log_sizes, out)
+    return [GridFunction(f.log_sizes, values) for values in out]
 
 
 def hybrid(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 import operator
@@ -24,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .bumps import build_double_pou, build_pou, make_adapted_family, partition_residuals
-from .corpus import generate_corpus
+from .corpus import Corpus, generate_corpus
 from .gfio import RunConfig
-from .grid import GridFunction, NormSpec, lp_norm, weak_lp_norm
+from .grid import GridFunction, NormSpec, lp_norm, norm, weak_lp_norm
 from .maximal import cz_decompose, maximal
 from .multipliers import (
     apply_1d,
@@ -117,6 +118,37 @@ def _scale_count(config: RunConfig, log_size=None) -> int:
     return (log_size or config.log_size) - config.scale_margin
 
 
+class RunContext:
+    """What the checks of one suite run share, computed once per run.
+
+    It holds the corpus of each (seed, log size) and the HL maxima of its
+    members, one ``maximal(f, "hl")`` call per member.  A corpus resampled
+    from a coarser grid has the same members as the one generated at its
+    own size, so one key serves both; member names are not keys, as the
+    sizes share them.  ``run_suite`` passes one context to every check that
+    takes ``ctx``; a check called without one builds its own, so nothing is
+    kept past one run.
+    """
+
+    def __init__(self):
+        self._corpora: dict[tuple[int, int], Corpus] = {}
+        self._hl_maxima: dict[tuple[int, int], list[GridFunction]] = {}
+
+    def corpus(self, seed: int, log_size: int) -> Corpus:
+        key = (seed, log_size)
+        if key not in self._corpora:
+            self._corpora[key] = generate_corpus(seed, log_size)
+        return self._corpora[key]
+
+    def hl_maxima(self, seed: int, log_size: int) -> list[GridFunction]:
+        """``maximal(f, "hl")`` of each member of ``corpus(seed, log_size)``, in order."""
+        key = (seed, log_size)
+        if key not in self._hl_maxima:
+            members = self.corpus(seed, log_size).functions()
+            self._hl_maxima[key] = [maximal(f, "hl") for f in members]
+        return self._hl_maxima[key]
+
+
 # --- check 1: partition-of-unity gate ---------------------------------------
 
 
@@ -160,7 +192,8 @@ def check_fs_growth(config: RunConfig) -> CheckResult:
 # --- check 4: pointwise maximal oracles --------------------------------------
 
 
-def check_maximal_oracle(config: RunConfig) -> CheckResult:
+def check_maximal_oracle(config: RunConfig, ctx: RunContext | None = None) -> CheckResult:
+    ctx = ctx or RunContext()
     log_size = 10
     n = 2**log_size
     i = 3 * n // 4
@@ -176,16 +209,16 @@ def check_maximal_oracle(config: RunConfig) -> CheckResult:
         means.append((csum[starts + w] - csum[starts]).max() / w)
     best = float(np.max(means))
 
-    members = generate_corpus(config.seed, config.log_size).members
+    funcs = ctx.corpus(config.seed, config.log_size).functions()
     gates = [
         Gate("|M chi(3/4) - 2/3|", abs(value - 2.0 / 3.0), 2.0 / n),
         Gate("|M chi(3/4) - window sweep|", abs(value - best), 1e-12, "<"),
     ]
-    for _, f in members:
+    for f, mf in zip(funcs, ctx.hl_maxima(config.seed, config.log_size)):
         md = maximal(f, "dyadic").values.real
-        m = maximal(f, "hl").values.real
+        m = mf.values.real
         gates += [
-            Gate(f"max(|f| - M_D f) on {len(members)} functions",
+            Gate(f"max(|f| - M_D f) on {len(funcs)} functions",
                  np.max(np.abs(f.values) - md), 1e-12),
             Gate("max(M_D f - Mf)", np.max(md - m), 1e-12),
         ]
@@ -224,8 +257,8 @@ def cz_gates(f: GridFunction, dec) -> list[Gate]:
     ]
 
 
-def check_cz_invariants(config: RunConfig) -> CheckResult:
-    funcs = generate_corpus(config.seed, config.log_size).functions()
+def check_cz_invariants(config: RunConfig, ctx: RunContext | None = None) -> CheckResult:
+    funcs = (ctx or RunContext()).corpus(config.seed, config.log_size).functions()
     rng = np.random.default_rng(config.seed + 100)
     pairs = 200
     gates = []
@@ -239,11 +272,13 @@ def check_cz_invariants(config: RunConfig) -> CheckResult:
 # --- check 6: weak (1,1) ceiling ---------------------------------------------
 
 
-def check_weak11(config: RunConfig) -> CheckResult:
+def check_weak11(config: RunConfig, ctx: RunContext | None = None) -> CheckResult:
+    ctx = ctx or RunContext()
+    funcs = ctx.corpus(config.seed, config.log_size).functions()
     ratios = []
-    for _, f in generate_corpus(config.seed, config.log_size).members:
+    for f, mf in zip(funcs, ctx.hl_maxima(config.seed, config.log_size)):
         # sup_lambda lambda |{Mf > lambda}|, reached as lambda rises to a value of Mf
-        ratios.append(weak_lp_norm(maximal(f, "hl"), 1.0) / lp_norm(f, 1.0))
+        ratios.append(weak_lp_norm(mf, 1.0) / lp_norm(f, 1.0))
     ratio = float(np.max(ratios))
     return CheckResult(
         "weak_1_1_ceiling",
@@ -255,8 +290,8 @@ def check_weak11(config: RunConfig) -> CheckResult:
 # --- check 7: rearrangement exactness ----------------------------------------
 
 
-def check_rearrangement(config: RunConfig) -> CheckResult:
-    corpus = generate_corpus(config.seed, config.log_size)
+def check_rearrangement(config: RunConfig, ctx: RunContext | None = None) -> CheckResult:
+    corpus = (ctx or RunContext()).corpus(config.seed, config.log_size)
     gates = []
     for _, f in corpus.members[:10]:
         prof = rearrangement(f)
@@ -294,10 +329,14 @@ def check_rearrangement(config: RunConfig) -> CheckResult:
 # --- check 8: maximal / Zygmund equivalence ----------------------------------
 
 
-def check_maximal_zygmund(config: RunConfig) -> CheckResult:
-    base = generate_corpus(config.seed, 9)
-    rep9 = llogl_maximal_experiment(base)
-    rep10 = llogl_maximal_experiment(base.resample(10))
+def check_maximal_zygmund(config: RunConfig, ctx: RunContext | None = None) -> CheckResult:
+    ctx = ctx or RunContext()
+    rep9, rep10 = (
+        llogl_maximal_experiment(
+            ctx.corpus(config.seed, L), maxima=ctx.hl_maxima(config.seed, L)
+        )
+        for L in (9, 10)
+    )
     drift = float(np.max([
         abs(rep10.norm_ratios[k] - rep9.norm_ratios[k]) / rep9.norm_ratios[k]
         for k in rep9.norm_ratios
@@ -424,49 +463,53 @@ def check_coefficient_decay(config: RunConfig) -> CheckResult:
 # --- check 12: boundedness stability sweeps ----------------------------------
 
 
-def check_boundedness_sweeps(config: RunConfig) -> CheckResult:
+def _linearize_constants(funcs, fam1, fam2, fields) -> list[float]:
+    """Per eps field, ``probe_norm``'s max_ratio of T_eps from L2 to L2 over
+    ``funcs``; each f is analysed once for all fields (one batched call)."""
+    l2 = NormSpec.lp(2.0)
+    rows = [
+        [norm(out, l2) / norm(f, l2) for out in linearize(f, fam1, fam2, fields)]
+        for f in funcs
+        if norm(f, l2) != 0.0
+    ]
+    return np.max(np.reshape(rows, (-1, len(fields))), axis=0, initial=0.0).tolist()
+
+
+def check_boundedness_sweeps(config: RunConfig, ctx: RunContext | None = None) -> CheckResult:
+    ctx = ctx or RunContext()
     l2 = NormSpec.lp(2.0)
     l1 = NormSpec.lp(1.0)
 
-    # 1D operators at L and L+1 on the same continuum corpus
-    base = generate_corpus(config.seed, config.log_size)
-    fine = base.resample(config.log_size + 1)
-    # one eps field, drawn at the finer size's window, serves both sizes, so
-    # a drift compares one operator at two resolutions
+    # one eps field, drawn at the finer size's window, serves both 1D sizes,
+    # so a drift compares one operator at two resolutions; the 20 draws of
+    # the spread run at the base size, batched with it
     eps = EpsilonField.rademacher(
         config.seed, range(1, _scale_count(config, config.log_size + 1) + 1)
     )
+    draws = [EpsilonField.rademacher(s, range(1, _scale_count(config) + 1)) for s in range(20)]
     ratios = {}
-    for log_size, corpus in ((config.log_size, base), (config.log_size + 1, fine)):
+    # 1D operators at L and L+1 on the same continuum corpus
+    for log_size in (config.log_size, config.log_size + 1):
         K = _scale_count(config, log_size)
         fam1 = make_adapted_family("from_pou_1", K, log_size)
         fam2 = make_adapted_family("from_pou_2", K, log_size)
         fam3 = make_adapted_family("lower_bounded", K, log_size)
-        funcs = corpus.functions()
+        funcs = ctx.corpus(config.seed, log_size).functions()
         pairs = list(zip(funcs, funcs[1:] + funcs[:1]))
         ratios[(log_size, "S")] = probe_norm(
             lambda f: square_function(f, fam1), "S", (l2,), l2, funcs
         ).max_ratio
-        ratios[(log_size, "T_eps")] = probe_norm(
-            lambda f: linearize(f, fam1, fam2, eps), "T_eps", (l2,), l2, funcs
-        ).max_ratio
+        fields = [eps] + (draws if log_size == config.log_size else [])
+        ratios[(log_size, "T_eps")], *constants = _linearize_constants(funcs, fam1, fam2, fields)
+        if constants:
+            # epsilon-draw stability at the base size
+            spread = float((np.max(constants) - np.min(constants)) / np.max(constants))
         spec1 = ParaproductSpec(
             params=1, families=(fam1, fam2, fam3), mean_slots=(3,), epsilon=eps
         )
         ratios[(log_size, "para1")] = probe_norm(
             lambda f, g: paraproduct_1p(spec1, f, g), "para1", (l2, l2), l1, pairs
         ).max_ratio
-        if log_size == config.log_size:
-            # epsilon-draw stability at the base size
-            constants = []
-            for s in range(20):
-                eps_s = EpsilonField.rademacher(s, range(1, K + 1))
-                constants.append(
-                    probe_norm(
-                        lambda f: linearize(f, fam1, fam2, eps_s), "T_eps", (l2,), l2, funcs
-                    ).max_ratio
-                )
-            spread = float((np.max(constants) - np.min(constants)) / np.max(constants))
 
     # 2D operators at L2d and L2d + 1.  The scale window K = L - 3 fully
     # resolves per-axis frequencies up to 2^(K-3) only, so the drift
@@ -594,7 +637,12 @@ CHECKS = [
 
 
 def run_suite(config: RunConfig, only=None, echo=print) -> int:
-    """Run the registered checks; write JSON + CSV artifacts; 0 iff all pass."""
+    """Run the registered checks; write JSON + CSV artifacts; 0 iff all pass.
+
+    One ``RunContext`` serves every check that takes a ``ctx`` argument, and
+    is dropped when the run ends.
+    """
+    ctx = RunContext()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_text = json.dumps(config.to_dict(), indent=2, sort_keys=True)
@@ -606,7 +654,10 @@ def run_suite(config: RunConfig, only=None, echo=print) -> int:
             continue
         start = time.perf_counter()
         try:
-            result = check(config)
+            if "ctx" in inspect.signature(check).parameters:
+                result = check(config, ctx=ctx)
+            else:
+                result = check(config)
         except Exception as exc:  # a crashed check is a failed check
             result = CheckResult(check_id, [], crashed=repr(exc))
         result.runtime = time.perf_counter() - start

@@ -120,13 +120,26 @@ def synthesis(trains, prototypes) -> np.ndarray:
     multiples of N_a / M_a, where every other sample is zero; M_a = N_a is
     the full grid.  The sum is accumulated in frequency on each prototype's
     band and inverted once.
+
+    Only the trailing d axes (one per prototype axis) are transformed: a
+    train with leading axes is a batch of trains sharing the prototypes, and
+    the output carries the same leading axes.  Each batch entry is the
+    entry's own synthesis bit for bit; a train without leading axes is a
+    batch of one.
     """
     bands = _as_bands(prototypes)
+    d = len(bands)
     total = np.zeros(tuple(axis[0].size for axis in bands), dtype=np.complex128)
+    axes, lead = None, ()
     for train, tuple_bands in zip(trains, itertools.product(*bands), strict=True):
+        if train.ndim > total.ndim:
+            # the first train of a batch sets its leading shape; ``axes`` and
+            # the leading Ellipsis cost per call, so only a batch pays them
+            axes, lead = tuple(range(train.ndim - d, train.ndim)), (Ellipsis,)
+            total = np.zeros(train.shape[:-d] + total.shape, dtype=np.complex128)
         index = [band.indices for band in tuple_bands]
-        spectrum = np.fft.fftn(train)
+        spectrum = np.fft.fftn(train, axes=axes)
         hat = functools.reduce(np.multiply.outer, (band.values for band in tuple_bands))
-        tiled = spectrum[np.ix_(*(i % m for i, m in zip(index, spectrum.shape)))]
-        total[np.ix_(*index)] += tiled * hat
-    return np.fft.ifftn(total)
+        tiled = spectrum[lead + np.ix_(*(i % m for i, m in zip(index, spectrum.shape[-d:])))]
+        total[lead + np.ix_(*index)] += tiled * hat
+    return np.fft.ifftn(total, axes=axes)

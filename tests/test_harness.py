@@ -8,6 +8,8 @@ from torusharmonics.gfio import RunConfig
 from torusharmonics.grid import GridFunction, NormSpec, lp_norm, weak_lp_norm
 from torusharmonics.maximal import maximal
 from torusharmonics.probes import (
+    KhinchineReport,
+    _wilson_upper,
     dual_weak_estimate,
     fs_growth_counterexample,
     fs_sum_counterexample,
@@ -149,6 +151,46 @@ class TestKhinchine:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             khinchine_experiment([0.0, 0.0])
+
+
+def _khinchine_whole_array(coefficients, p_list=(1.0, 4.0), samples=100_000, seed=0,
+                           tail_points=(1.0, 2.0, 3.0)):
+    """``khinchine_experiment`` with every sign row drawn and summed in one array."""
+    a = np.asarray(coefficients, dtype=complex)
+    l2 = float(np.sum(np.abs(a) ** 2))
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=(samples, a.size))
+    sums = signs @ a
+    sq = np.abs(sums) ** 2
+    unit = sums / math.sqrt(l2)
+    tail_freq, tail_bound, tail_upper = {}, {}, {}
+    for t in tail_points:
+        hits = int((np.abs(unit) > t).sum())
+        tail_freq[t] = hits / samples
+        tail_bound[t] = 4.0 * math.exp(-(t**2) / 4.0)
+        tail_upper[t] = _wilson_upper(hits, samples)
+    p_ratios = {
+        p: float((np.abs(sums) ** p).mean() ** (1.0 / p) / math.sqrt(l2)) for p in p_list
+    }
+    return KhinchineReport(
+        float(sq.mean()), l2, float(sq.std(ddof=1) / math.sqrt(samples)), tail_freq,
+        tail_bound, tail_upper, p_ratios, samples, seed,
+    )
+
+
+class TestKhinchineChunks:
+    """Row-chunked draws give the whole-array report exactly."""
+
+    @pytest.mark.parametrize("seed", [3, 7, 11, 12])
+    def test_suite_setting_equals_whole_array(self, seed):
+        a = np.ones(32) / math.sqrt(32)
+        assert khinchine_experiment(a, seed=seed) == _khinchine_whole_array(a, seed=seed)
+
+    @pytest.mark.parametrize("samples", [2, 8191, 8193, 20_001])
+    def test_odd_sizes_equal_whole_array(self, samples):
+        a = np.random.default_rng(samples).normal(size=(5, 2)) @ np.array([1.0, 1j])
+        assert (khinchine_experiment(a, samples=samples, seed=9)
+                == _khinchine_whole_array(a, samples=samples, seed=9))
 
 
 class TestCounterexamples:

@@ -308,3 +308,36 @@ class TestOptimalSplit:
         for f in random_functions(5, seed=19):
             g, h, _ = optimal_l1_linf_split(f, 0.2)
             assert np.abs(g.values + h.values - f.values).max() < 1e-12
+
+
+class TestSharedBreakpointAntiderivatives:
+    """Each breakpoint's antiderivative is taken once; the per-piece form,
+    which takes both ends of every piece, is the oracle, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_zygmund_equals_per_piece_form(self, n):
+        from torusharmonics.rearrange import _log_moment_antideriv
+
+        for f in random_functions(6, seed=n):
+            profile = rearrangement(f)
+            total, lower = 0.0, 0.0
+            for t1, a in zip(profile.breakpoints, profile.values):
+                total += a * (_log_moment_antideriv(n, t1) - _log_moment_antideriv(n, lower))
+                lower = t1
+            assert zygmund_norm(profile, n, "closed_form") == total / math.factorial(n)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_prefix_integrals_equal_per_piece_form(self, order):
+        from torusharmonics.rearrange import _basis_antideriv
+
+        for f in random_functions(4, seed=order):
+            curve = star_curve(rearrangement(f), order)
+            want = np.zeros(len(curve.cuts))
+            for m, coef in enumerate(curve.coef):
+                t0, t1 = curve.cuts[m], curve.cuts[m + 1]
+                piece = 0.0
+                for j, c in enumerate(coef):
+                    if c != 0.0:
+                        piece += c * (_basis_antideriv(j, t1) - _basis_antideriv(j, t0))
+                want[m + 1] = want[m] + piece
+            assert np.array_equal(curve.prefix_integral_at_cuts(), want)

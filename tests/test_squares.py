@@ -625,3 +625,39 @@ class TestShiftedLinearizationBruteForce:
                     acc += eps.at(k)[j] * c * outer
             direct += acc / len(offsets)
         assert np.abs(out.values - direct).max() < 1e-10
+
+
+class TestLinearizeDraws:
+    """Several eps fields in one call: f analysed once, one batched synthesis."""
+
+    @pytest.mark.parametrize("n,average_alpha", [(0, False), (1, False), (0, True)])
+    def test_twenty_draws_equal_twenty_calls(self, fam, fam_b, n, average_alpha):
+        rng = np.random.default_rng(n)
+        f = GridFunction((L,), rng.normal(size=N) + 1j * rng.normal(size=N))
+        draws = [EpsilonField.rademacher(s, range(1, K + 1)) for s in range(20)]
+        options = dict(n=n, average_alpha=average_alpha, max_offsets=8)
+        batched = linearize(f, fam, fam_b, draws, **options)
+        assert len(batched) == len(draws)
+        for eps, out in zip(draws, batched):
+            assert np.array_equal(out.values, linearize(f, fam, fam_b, eps, **options).values)
+
+    def test_fields_over_different_windows_share_their_common_tuples(self, fam, fam_b):
+        f = GridFunction.from_callable(lambda x: np.cos(6 * np.pi * x) + (x < 0.3), (L,))
+        wide = EpsilonField.rademacher(5, range(1, K + 2))
+        narrow = EpsilonField.rademacher(6, range(1, K + 1))
+        for eps, out in zip((wide, narrow), linearize(f, fam, fam_b, [wide, narrow])):
+            assert np.array_equal(out.values, linearize(f, fam, fam_b, eps).values)
+
+    def test_no_nonzero_scale_gives_one_zero_output_per_draw(self):
+        # from_pou_1 vanishes at k = 1, 2: no scale is left
+        fam1 = make_adapted_family("from_pou_1", 2, 8)
+        fam2 = make_adapted_family("from_pou_2", 2, 8)
+        draws = [EpsilonField.rademacher(s, range(1, 3)) for s in range(3)]
+        outs = linearize(GridFunction.constant(1.0, (8,)), fam1, fam2, draws)
+        assert len(outs) == 3 and all(not out.values.any() for out in outs)
+
+    def test_stacked_field_has_a_batch_axis(self):
+        fields = [EpsilonField.rademacher(s, range(1, 4), range(1, 3)) for s in range(4)]
+        stacked = EpsilonField.stack(fields)
+        assert stacked.batch == (4,) and fields[0].batch == ()
+        assert np.array_equal(stacked.at(3, 2)[2], fields[2].at(3, 2))

@@ -251,3 +251,28 @@ def test_coefficient_field_alpha_reads_the_full_grid_coset(n, alpha):
         starts = ((np.arange(2**k) + n) * step + int(round(alpha * step))) % 2**L
         want = 2.0**-k * lags[starts]
         assert np.abs(field.at(k) - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    log_sizes=st.sampled_from([(4,), (7,), (4, 5), (6, 4), (4, 4, 4), (5, 4, 4)]),
+    batch=st.sampled_from([(1,), (3,), (2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_synthesis_equals_separate_calls(log_sizes, batch, seed):
+    # each entry of a batched call is that entry's own synthesis, bit for bit,
+    # on compressed trains and on band-limited and full prototypes alike
+    rng = np.random.default_rng(seed)
+    prototypes = [
+        [Band.of(p, int(rng.integers(1, p.size))) if rng.integers(2) else p for p in axis]
+        for axis in _random_prototypes(rng, log_sizes)
+    ]
+    trains = []
+    for ks in _scale_tuples(prototypes):
+        shape = [2 ** int(rng.integers(k, L + 1)) for k, L in zip(ks, log_sizes)]
+        trains.append(rng.normal(size=batch + (*shape, 2)) @ np.array([1.0, 1j]))
+    got = synthesis(iter(trains), prototypes)
+    assert got.shape == batch + tuple(2**L for L in log_sizes)
+    for entry in np.ndindex(batch):
+        want = synthesis((train[entry] for train in trains), prototypes)
+        assert np.array_equal(got[entry], want)

@@ -1,0 +1,106 @@
+"""Run ``torusharmonics verify`` over a range of seeds, or diff two such sweeps.
+
+    python3 tools/verify_sweep.py run --seeds 1 60 --out sweep.json
+    python3 tools/verify_sweep.py diff parent.json change.json
+
+Run from the root of a source checkout; the library is imported from its
+``src/``, so a sweep of another checkout runs that checkout's copy of this
+script.  ``run`` executes ``verify --grid 9 --grid2d 7`` once per seed and
+writes, per seed and check, the verdict, every gate's observed value and the
+check's details; it prints each check's pass rate and failing seeds.  The
+runtime gate, the runtime and the config hash are left out, so two sweeps
+of the same code are equal.  ``diff`` compares two sweeps field by field,
+prints each difference, and exits 1 if there is one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GRIDS = ("--grid", "9", "--grid2d", "7")
+RUNTIME_GATE = "runtime_s"
+
+
+def sweep_seed(seed: int) -> dict:
+    """Per check: the verdict, [name, op, bound, observed] per gate, and details."""
+    from torusharmonics.cli import main
+    from torusharmonics.suite import CHECKS
+
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        main(["verify", "--seed", str(seed), *GRIDS, "--out", out])
+        payloads = [json.loads((Path(out) / f"{cid}.json").read_text()) for cid, _ in CHECKS]
+    checks = {}
+    for p in payloads:
+        gates = [g for g in p["gates"] if g["name"] != RUNTIME_GATE]
+        checks[p["check"]] = {
+            "passed": all(g["passed"] for g in gates) and not p["summary"].startswith("crashed"),
+            "gates": [[g["name"], g["op"], g["bound"], g["observed"]] for g in gates],
+            "details": p["details"],
+        }
+    return checks
+
+
+def run(seeds: range, out: Path) -> None:
+    sys.path.insert(0, str(ROOT / "src"))
+    result = {"grids": list(GRIDS), "seeds": {}}
+    for seed in seeds:
+        result["seeds"][str(seed)] = sweep_seed(seed)
+    out.write_text(json.dumps(result, indent=1, sort_keys=True))
+    for check in result["seeds"][str(seeds[0])]:
+        failing = [s for s, checks in result["seeds"].items() if not checks[check]["passed"]]
+        line = f"{check}: {len(seeds) - len(failing)}/{len(seeds)} pass"
+        print(line + (f"; fails on {', '.join(failing)}" if failing else ""))
+
+
+def differences(a, b, path: str = ""):
+    """Yield (path, a, b) for every leaf where the two JSON trees differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            yield from differences(a.get(key), b.get(key), f"{path}/{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from differences(x, y, f"{path}[{i}]")
+    elif not _same(a, b):
+        yield path, a, b
+
+
+def _same(a, b) -> bool:
+    """Equal, with NaN equal to NaN: a NaN observation is a result too."""
+    both_nan = isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b)
+    return a == b or both_nan
+
+
+def diff(a: Path, b: Path) -> int:
+    found = list(differences(json.loads(a.read_text()), json.loads(b.read_text())))
+    for path, x, y in found:
+        print(f"{path}: {x!r} != {y!r}")
+    print(f"{len(found)} differences")
+    return 1 if found else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run", help="sweep verify over the seeds FIRST..LAST")
+    p_run.add_argument("--seeds", nargs=2, type=int, metavar=("FIRST", "LAST"), required=True)
+    p_run.add_argument("--out", type=Path, required=True)
+    p_diff = sub.add_parser("diff", help="compare two sweeps, ignoring runtimes")
+    p_diff.add_argument("a", type=Path)
+    p_diff.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        run(range(args.seeds[0], args.seeds[1] + 1), args.out)
+        return 0
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
