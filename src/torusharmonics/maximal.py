@@ -5,19 +5,22 @@ grid-aligned torus intervals (every run of whole cells, wrapping allowed),
 so downstream constants carry no approximation ambiguity.  The interval,
 shifted and strong maximal functions read their window means
 (P_{a+w} - P_a) / w off prefix sums P of the doubled array
-(``_doubled_csum``), the same floats the O(N)-per-width loop ``_hl_axis``
-forms, and so equal the plain width loops bit for bit.  A divide and
-conquer over those sums (the dense form of the
+(``_doubled_csum``), the same floats a plain loop over widths forms from a
+fresh cumulative sum per width, and so equal that loop bit for bit.  A
+divide and conquer over those sums (the dense form of the
 maximum-density-segment method of Chung & Lu, SIAM J. Comput. 2004) takes
-every window mean once, O(N^2) entries in bounded slabs.  The shifted
+every window mean once, O(N^2) entries in bounded slabs: each dyadic block
+of [0, N) holds the runs that cross its middle and the runs that wrap
+around the torus from its right half to its left half.  The shifted
 operators keep one pass per width; the sup over fractional shifts fuses its
 two sliding maxima into one window of min(w+1, N) + w - 1 cells, the global
-max once that window wraps the torus.  The strong maximal function
-restricts to rectangles with power-of-two side lengths at arbitrary offsets
-(any rectangle is contained in one of that class with at most 4x the area);
-sliding maxima are separable and commute with pointwise max, so the axis-0
-cover runs once per row width on the max over all column widths.
-The adapted maximal function reads the pairings <phi_I, f> off the
+max once that window wraps the torus.  Every cyclic sliding max doubles its
+window on the wrapped array, O(N log w) exact maxima.  The strong maximal
+function restricts to rectangles with power-of-two side lengths at
+arbitrary offsets (any rectangle is contained in one of that class with at
+most 4x the area); sliding maxima are separable and commute with pointwise
+max, so the axis-0 cover runs once per row width on the max over all column
+widths.  The adapted maximal function reads the pairings <phi_I, f> off the
 coefficient transform through the one-parameter 'M' aggregate of the hybrids.
 """
 
@@ -34,64 +37,28 @@ from .squares import _envelope
 
 
 def _sliding_max(arr: np.ndarray, w: int) -> np.ndarray:
-    """Cyclic sliding max along the last axis: out[s] = max arr[s : s+w]."""
+    """Cyclic sliding max along the last axis: out[s] = max arr[s : s+w].
+
+    Doubling on the wrapped array: after the step of size s, m[k] is the max
+    of s consecutive entries from k, and two overlapping windows of the
+    largest such s <= w cover the w entries.
+    """
     n = arr.shape[-1]
     if w <= 1:
         return arr.copy()
-    ext = np.concatenate([arr, arr[..., : w - 1]], axis=-1)
-    m = ext.shape[-1]
-    nblocks = -(-m // w)
-    pad = nblocks * w - m
-    if pad:
-        pad_block = np.full(ext.shape[:-1] + (pad,), -np.inf)
-        ext = np.concatenate([ext, pad_block], axis=-1)
-    blocks = ext.reshape(ext.shape[:-1] + (nblocks, w))
-    prefix = np.maximum.accumulate(blocks, axis=-1).reshape(ext.shape[:-1] + (-1,))
-    suffix = np.maximum.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1]
-    suffix = suffix.reshape(ext.shape[:-1] + (-1,))
-    return np.maximum(suffix[..., : m - w + 1], prefix[..., w - 1 : m])
-
-
-def _window_means(absvals: np.ndarray, w: int) -> np.ndarray:
-    """Cyclic window means along the last axis: out[s] = mean arr[s : s+w]."""
-    n = absvals.shape[-1]
-    ext = np.concatenate([absvals, absvals[..., : w - 1]], axis=-1)
-    csum = np.cumsum(ext, axis=-1)
-    lead = csum[..., w - 1 :]
-    head = np.concatenate(
-        [np.zeros(absvals.shape[:-1] + (1,)), csum[..., : n - 1]], axis=-1
-    )
-    return (lead - head) / w
-
-
-def _hl_axis(absvals: np.ndarray, shift: int = 0, sup_shift: bool = False) -> np.ndarray:
-    """Exact interval-maximal function along the last axis, one width at a time.
-
-    The test oracle for the kernels of ``hl`` (``_hl_runs``), ``shifted``
-    and ``shifted_sup`` (``_shifted_widths``).  ``shift`` computes the
-    n-shifted operator (averages over I^n while the indicator sits on I);
-    ``sup_shift`` additionally takes the sup over all grid-representable
-    fractional shifts alpha in [0, 1].
-    """
-    n = absvals.shape[-1]
-    best = np.full(absvals.shape, -np.inf)
-    for w in range(1, n + 1):
-        means = _window_means(absvals, w)
-        if shift or sup_shift:
-            means = np.roll(means, -shift * w, axis=-1)
-            if sup_shift:
-                # fractional shifts alpha in [0, 1] are the w+1 grid offsets
-                means = _sliding_max(means, min(w + 1, n))
-        covering = _sliding_max(means, w)
-        best = np.maximum(best, np.roll(covering, w - 1, axis=-1))
-    return best
+    m = np.concatenate([arr, arr[..., : w - 1]], axis=-1)
+    span = 1
+    while 2 * span <= w:
+        m = np.maximum(m[..., :-span], m[..., span:])
+        span *= 2
+    return np.maximum(m[..., :n], m[..., w - span : w - span + n])
 
 
 def _doubled_csum(absvals: np.ndarray) -> np.ndarray:
     """Prefix sums P of the doubled array along the last axis, P[..., 0] = 0.
 
-    ``np.cumsum`` adds in order, so (P[w : w+n] - P[:n]) / w are the floats
-    ``_window_means`` forms for width w.
+    ``np.cumsum`` adds in order, so (P[s + w] - P[s]) / w is the float the
+    plain width loop forms for the cyclic window of width w from cell s.
     """
     n = absvals.shape[-1]
     csum = np.zeros(absvals.shape[:-1] + (2 * n + 1,))
@@ -100,11 +67,14 @@ def _doubled_csum(absvals: np.ndarray) -> np.ndarray:
 
 
 def _shifted_widths(absvals: np.ndarray, shift: int, sup_shift: bool) -> np.ndarray:
-    """``_hl_axis(absvals, shift, sup_shift)`` bit for bit, on shared prefix sums.
+    """The shifted interval-maximal function, one width at a time.
 
-    The sup over the w+1 fractional offsets and the cover of width w are two
-    cyclic sliding maxima; their composition is one of width
-    min(w+1, n) + w - 1, which is the global max once it reaches n.
+    ``shift`` computes the n-shifted operator (averages over I^n while the
+    indicator sits on I); ``sup_shift`` additionally takes the sup over all
+    grid-representable fractional shifts alpha in [0, 1], the w+1 grid
+    offsets.  That sup and the cover of width w are two cyclic sliding
+    maxima; their composition is one of width min(w+1, n) + w - 1, which is
+    the global max once it reaches n.
     """
     n = absvals.shape[-1]
     csum = _doubled_csum(absvals)
@@ -125,64 +95,78 @@ def _shifted_widths(absvals: np.ndarray, shift: int, sup_shift: bool) -> np.ndar
 _SLAB = 1 << 16
 
 
-def _crossing_maxima(pa: np.ndarray, pb: np.ndarray, n: int):
-    """Row and column maxima of the means (pb[:, t] - pa[:, i]) / (h + 1 + t - i).
+def _crossing_maxima(pa: np.ndarray, pb: np.ndarray, width0: int):
+    """Row and column maxima of the means (pb[:, t] - pa[:, i]) / (width0 + t - i).
 
-    Row i is the run start lo + i in a block's left half, column t the run end
-    lo + h + 1 + t past its middle cell.  Runs wider than the torus, which only
-    the doubled array's one block holds, are left out.
+    Row i is a run start, column t a run end; every (i, t) pair is a run
+    of width width0 + t - i >= 2.  One width matrix per chunk of rows serves
+    every batch row, and at most ``_SLAB`` means are held at once.
     """
     batch, h = pa.shape
-    rowmax = np.full((batch, h), -np.inf)
+    rowmax = np.empty((batch, h))
     colmax = np.full((batch, h), -np.inf)
     rows = min(h, max(1, _SLAB // h))
     step = max(1, _SLAB // (rows * h))
+    buf = np.empty(min(step, batch) * rows * h)
     for r0 in range(0, h, rows):
-        i = np.arange(r0, min(r0 + rows, h))
-        cols = min(h, n - h + int(i[-1]))
-        if cols <= 0:
-            continue
-        width = h + 1 + np.arange(cols) - i[:, None]
-        wide = width > n
+        r1 = min(r0 + rows, h)
+        width = (width0 + np.arange(h, dtype=float)) - np.arange(r0, r1)[:, None]
         for b0 in range(0, batch, step):
-            sl = slice(b0, b0 + step)
-            means = (pb[sl, None, :cols] - pa[sl, i, None]) / width
-            if wide.any():
-                means[:, wide] = -np.inf
-            rowmax[sl, i] = means.max(axis=-1)
-            top = colmax[sl, :cols]
+            b1 = min(b0 + step, batch)
+            means = buf[: (b1 - b0) * (r1 - r0) * h].reshape(b1 - b0, r1 - r0, h)
+            np.subtract(pb[b0:b1, None, :], pa[b0:b1, r0:r1, None], out=means)
+            means /= width
+            means.max(axis=-1, out=rowmax[b0:b1, r0:r1])
+            top = colmax[b0:b1]
             np.maximum(top, means.max(axis=-2), out=top)
     return rowmax, colmax
 
 
 def _hl_runs(absvals: np.ndarray) -> np.ndarray:
-    """``_hl_axis(absvals)`` bit for bit, by divide and conquer over the runs.
+    """The exact interval-maximal function along the last axis.
 
-    A torus arc is a run [a, b) of the doubled array with a < n and
-    b - a <= n, and its mean is (P_b - P_a) / (b - a) over the same prefix
-    sums P as the width loop forms.  Width-1 runs are taken as P_{x+1} - P_x.
-    A wider run with b <= n contains the middle cells of exactly one dyadic
-    block of [0, n); the runs with b > n cross the middle of the doubled
-    array.  Per block, a prefix max of the row maxima covers the left-half
-    cells and a suffix max of the column maxima the right-half cells.
+    A torus arc of width >= 2 is an interior run from cell a to its last
+    cell d > a, or a wrapped run over [a, n) and [0, c] with c < a.  The
+    pair (a, d) or (c, a) is split by exactly one dyadic block of [0, n),
+    so each block of size 2h holds two h x h rectangles of runs:
+    left-half starts x right-half last cells (interior, width
+    h + 1 + t - i) and right-half starts x left-half last cells (wrapped,
+    width n + 1 + t - h - i).  Each mean is (P_b - P_a) / (b - a) over the
+    prefix sums P of the doubled array; width-1 runs are P_{x+1} - P_x.
+    Per block, a prefix max of the interior row maxima covers the left half
+    and a suffix max of the column maxima the right half.  A wrapped run
+    covers every cell from its start on and every cell up to its last one,
+    so its row and column maxima collect in one per-start and one per-end
+    array, closed by one global prefix and one global suffix max.
     """
     n = absvals.shape[-1]
     csum = _doubled_csum(absvals.reshape(-1, n))
     best = csum[:, 1 : n + 1] - csum[:, :n]
+    starts = np.full(best.shape, -np.inf)
+    ends = np.full(best.shape, -np.inf)
     h = 1
-    while h <= n:
-        span = n if h < n else 2 * n
-        shape = (-1, span // (2 * h), 2, h)
-        pa = csum[:, :span].reshape(shape)[:, :, 0].reshape(-1, h)
-        pb = csum[:, 1 : span + 1].reshape(shape)[:, :, 1].reshape(-1, h)
-        rowmax, colmax = _crossing_maxima(pa, pb, n)
+    while h < n:
+        shape = (-1, n // (2 * h), 2, h)
+        lower = csum[:, :n].reshape(shape)
+        upper = csum[:, 1 : n + 1].reshape(shape)
+        wrapped = csum[:, n + 1 :].reshape(shape)
+        rowmax, colmax = _crossing_maxima(
+            lower[:, :, 0].reshape(-1, h), upper[:, :, 1].reshape(-1, h), h + 1
+        )
         left = np.maximum.accumulate(rowmax, axis=-1)
         right = np.maximum.accumulate(colmax[:, ::-1], axis=-1)[:, ::-1]
-        cover = np.concatenate([left, right], axis=-1).reshape(-1, span)
-        if span > n:
-            cover = np.maximum(cover[:, :n], cover[:, n:])
-        best = np.maximum(best, cover)
+        cover = np.concatenate([left, right], axis=-1).reshape(-1, n)
+        np.maximum(best, cover, out=best)
+        rowmax, colmax = _crossing_maxima(
+            lower[:, :, 1].reshape(-1, h), wrapped[:, :, 0].reshape(-1, h), n + 1 - h
+        )
+        tail = starts.reshape(shape)[:, :, 1]
+        np.maximum(tail, rowmax.reshape(tail.shape), out=tail)
+        head = ends.reshape(shape)[:, :, 0]
+        np.maximum(head, colmax.reshape(head.shape), out=head)
         h *= 2
+    np.maximum(best, np.maximum.accumulate(starts, axis=-1), out=best)
+    np.maximum(best, np.maximum.accumulate(ends[:, ::-1], axis=-1)[:, ::-1], out=best)
     return best.reshape(absvals.shape)
 
 

@@ -128,13 +128,16 @@ class _PiecewiseStarCurve:
             out += self.coef[seg, j] * basis
         return out
 
-    def prefix_integral_at_cuts(self) -> np.ndarray:
-        """F(cuts[m]) for F(t) = int_0^t g, exact per-piece antiderivatives.
+    def _antiderivs_at_cuts(self) -> tuple[np.ndarray, list[dict[int, float]]]:
+        """F(cuts[m]) for F(t) = int_0^t g, and each piece's lower-cut A_j.
 
-        Piece m's upper cut is piece m + 1's lower one, so each basis
-        antiderivative a piece reads there is taken once.
+        The second value holds, per piece m, the basis antiderivatives
+        A_j(cuts[m]) of its nonzero terms.  Piece m's upper cut is piece
+        m + 1's lower one, so each antiderivative a piece reads there is
+        taken once.
         """
         totals = np.zeros(len(self.cuts))
+        lowers = []
         upper: dict[int, float] = {}
         for m, coef in enumerate(self.coef):
             lower, upper = upper, {}
@@ -147,7 +150,12 @@ class _PiecewiseStarCurve:
                     lower[j] = _basis_antideriv(j, self.cuts[m])
                 total += c * (upper[j] - lower[j])
             totals[m + 1] = totals[m] + total
-        return totals
+            lowers.append(lower)
+        return totals, lowers
+
+    def prefix_integral_at_cuts(self) -> np.ndarray:
+        """F(cuts[m]) for F(t) = int_0^t g, exact per-piece antiderivatives."""
+        return self._antiderivs_at_cuts()[0]
 
     def integral(self) -> float:
         """int_0^1 of the curve."""
@@ -157,7 +165,7 @@ class _PiecewiseStarCurve:
         """The prefix average (1/t) int_0^t of this curve, exactly."""
         n_pieces, n_basis = self.coef.shape
         new_coef = np.zeros((n_pieces, n_basis + 1))
-        prefix = self.prefix_integral_at_cuts()
+        prefix, lowers = self._antiderivs_at_cuts()
         for m in range(n_pieces):
             t0 = self.cuts[m]
             c = self.coef[m]
@@ -165,7 +173,7 @@ class _PiecewiseStarCurve:
                 raise ValueError("singular basis terms are not integrable from 0")
             # F(t)/t = [F(t0) - sum_j c_j A_j(t0)] / t + c_0 + sum_{j>=1} ...
             const_term = prefix[m] - sum(
-                c[j] * _basis_antideriv(j, t0) for j in range(n_basis) if c[j] != 0.0
+                c[j] * lowers[m][j] for j in range(n_basis) if c[j] != 0.0
             )
             new_coef[m, 0] = c[0]
             new_coef[m, 1] += const_term

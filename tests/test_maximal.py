@@ -10,12 +10,10 @@ from torusharmonics.corpus import generate_corpus
 from torusharmonics.dyadic import DyadicInterval, star
 from torusharmonics.grid import GridFunction
 from torusharmonics.maximal import (
-    _hl_axis,
     _hl_runs,
     _shifted_widths,
     _sliding_max,
     _strong_2d,
-    _window_means,
     adapted_maximal,
     cz_cover,
     cz_decompose,
@@ -24,6 +22,8 @@ from torusharmonics.maximal import (
     vector_maximal,
 )
 from torusharmonics.transform import analysis
+
+from maximal_oracles import _block_sliding_max, _hl_axis, _window_means
 
 L = 10
 N = 2**L
@@ -166,14 +166,12 @@ class TestStrongMaximal:
         # restriction to power-of-two side lengths: compare against the same
         # class applied per axis
         def hl_pow2(vals):
-            from torusharmonics.maximal import _sliding_max, _window_means
-
             best = np.full(vals.shape, -np.inf)
             w = 1
             n = vals.shape[-1]
             while w <= n:
                 means = _window_means(vals, w)
-                cover = _sliding_max(means, w)
+                cover = _block_sliding_max(means, w)
                 best = np.maximum(best, np.roll(cover, w - 1, axis=-1))
                 w *= 2
             return best
@@ -445,6 +443,28 @@ def assert_close(a, b, vals):
     assert np.abs(a - b).max() <= 1e-12 * vals.sum()
 
 
+def brute_sliding_max(arr, w):
+    """out[s] = max arr[(s + j) % n] over j < w, one shifted copy per j."""
+    n = arr.shape[-1]
+    return np.maximum.reduce([np.roll(arr, -(j % n), axis=-1) for j in range(w)])
+
+
+class TestSlidingMax:
+    """The doubling sliding max equals a brute-force max and the block form."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_every_width(self, n, lead):
+        rng = np.random.default_rng(n)
+        arr = rng.normal(size=lead + (n,))
+        flat = arr.reshape(-1)
+        flat[rng.integers(0, flat.size, size=3)] = [np.nan, np.inf, -np.inf]
+        for w in range(1, n + 1):
+            got = _sliding_max(arr, w)
+            assert np.array_equal(got, brute_sliding_max(arr, w), equal_nan=True)
+            assert np.array_equal(got, _block_sliding_max(arr, w), equal_nan=True)
+
+
 class TestIntervalKernel:
     """The divide-and-conquer kernel equals the width loop bit for bit."""
 
@@ -458,9 +478,22 @@ class TestIntervalKernel:
         # small slabs split rows, columns and batches, wrapped runs included
         monkeypatch.setattr(maximal_module, "_SLAB", slab)
         rng = np.random.default_rng(slab)
-        for log_size in range(1, 8):
+        for log_size in range(1, 10):
             vals = rng.lognormal(sigma=2.0, size=(3, 2**log_size))
             assert np.array_equal(_hl_runs(vals), _hl_axis(vals))
+
+    @pytest.mark.parametrize("slab", [1, 5, 64])
+    def test_nan_at_either_end_of_the_torus(self, monkeypatch, slab):
+        # cell 0 and cell n - 1 are where the wrapped runs cross the seam
+        monkeypatch.setattr(maximal_module, "_SLAB", slab)
+        rng = np.random.default_rng(slab)
+        for log_size in range(1, 10):
+            vals = rng.lognormal(sigma=2.0, size=(3, 2**log_size))
+            vals[0, 0] = np.nan
+            vals[1, -1] = np.nan
+            vals[2, 0], vals[2, -1] = np.inf, -np.inf
+            with np.errstate(invalid="ignore"):
+                assert np.array_equal(_hl_runs(vals), _hl_axis(vals), equal_nan=True)
 
     @settings(max_examples=25, deadline=None)
     @given(abs_samples(), st.data())
@@ -530,8 +563,8 @@ def strong_pairs_loop(absvals):
         rows = _window_means(absvals.T, w1).T
         w2 = 1
         while w2 <= absvals.shape[1]:
-            cover = _sliding_max(_window_means(rows, w2), w2)
-            cover = _sliding_max(cover.T, w1).T
+            cover = _block_sliding_max(_window_means(rows, w2), w2)
+            cover = _block_sliding_max(cover.T, w1).T
             best = np.maximum(best, np.roll(cover, (w1 - 1, w2 - 1), axis=(0, 1)))
             w2 *= 2
         w1 *= 2

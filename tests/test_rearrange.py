@@ -341,3 +341,28 @@ class TestSharedBreakpointAntiderivatives:
                         piece += c * (_basis_antideriv(j, t1) - _basis_antideriv(j, t0))
                 want[m + 1] = want[m] + piece
             assert np.array_equal(curve.prefix_integral_at_cuts(), want)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_star_equals_per_piece_constant_on_corpus_profiles(self, order):
+        # each piece's constant term with its lower-cut antiderivatives taken
+        # afresh, as a separate pass after the prefix integrals
+        from torusharmonics.corpus import generate_corpus
+        from torusharmonics.rearrange import _basis_antideriv
+
+        for _, f in generate_corpus(11, 9).members[::4]:
+            curve = star_curve(rearrangement(f), order)
+            n_pieces, n_basis = curve.coef.shape
+            want = np.zeros((n_pieces, n_basis + 1))
+            prefix = curve.prefix_integral_at_cuts()
+            for m in range(n_pieces):
+                t0, c = curve.cuts[m], curve.coef[m]
+                want[m, 0] = c[0]
+                want[m, 1] += prefix[m] - sum(
+                    c[j] * _basis_antideriv(j, t0) for j in range(n_basis) if c[j] != 0.0
+                )
+                for j in range(1, n_basis):
+                    if c[j] != 0.0:
+                        want[m, j + 1] += -c[j] / j
+            star = curve.star()
+            assert np.array_equal(star.cuts, curve.cuts)
+            assert np.array_equal(star.coef, want)

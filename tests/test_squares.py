@@ -384,7 +384,7 @@ class TestHybrid3:
         f = GridFunction3(vals)
         out = hybrid3(f, (fam3, fam3, fam3), "MMM").values
         # iterated one-dimensional maximal functions along each axis
-        from torusharmonics.maximal import _hl_axis
+        from maximal_oracles import _hl_axis
 
         m = vals
         for axis in (2, 1, 0):

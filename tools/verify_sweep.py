@@ -7,7 +7,8 @@ Run from the root of a source checkout; the library is imported from its
 ``src/``, so a sweep of another checkout runs that checkout's copy of this
 script.  ``run`` executes ``verify --grid 9 --grid2d 7`` once per seed and
 writes, per seed and check, the verdict, every gate's observed value and the
-check's details; it prints each check's pass rate and failing seeds.  The
+check's details; it prints each check's pass rate and failing seeds, and
+under it each gate's worst observed value and the seed where it occurs.  The
 runtime gate, the runtime and the config hash are left out, so two sweeps
 of the same code are equal.  ``diff`` compares two sweeps field by field,
 prints each difference, and exits 1 if there is one.
@@ -54,10 +55,38 @@ def run(seeds: range, out: Path) -> None:
     for seed in seeds:
         result["seeds"][str(seed)] = sweep_seed(seed)
     out.write_text(json.dumps(result, indent=1, sort_keys=True))
+    worst = worst_observed(result["seeds"])
     for check in result["seeds"][str(seeds[0])]:
         failing = [s for s, checks in result["seeds"].items() if not checks[check]["passed"]]
         line = f"{check}: {len(seeds) - len(failing)}/{len(seeds)} pass"
         print(line + (f"; fails on {', '.join(failing)}" if failing else ""))
+        for (name, op, bound), (observed, seed) in worst[check].items():
+            print(f"  {name} {op} {bound:.6g}: worst {observed:.6g} at seed {seed}")
+
+
+def worst_observed(seeds: dict) -> dict:
+    """Per check and gate (name, op, bound): the worst observed value and its seed.
+
+    Worst is the largest value under an upper bound and the smallest above a
+    lower bound.  NaN is worse than any number, and a tie keeps the first seed.
+    """
+    worst: dict = {}
+    for seed, checks in seeds.items():
+        for check, entry in checks.items():
+            gates = worst.setdefault(check, {})
+            for name, op, bound, observed in entry["gates"]:
+                held = gates.get((name, op, bound))
+                if held is None or _worse(observed, held[0], op):
+                    gates[(name, op, bound)] = (observed, seed)
+    return worst
+
+
+def _worse(x: float, y: float, op: str) -> bool:
+    if math.isnan(y):
+        return False
+    if math.isnan(x):
+        return True
+    return x > y if op in ("<=", "<") else x < y
 
 
 def differences(a, b, path: str = ""):
