@@ -40,7 +40,6 @@ from .grid import (
     fourier_coefficients,
     inner_product,
     inverse_transform,
-    linf_norm,
     lp_norm,
     norm,
     weak_lp_norm,

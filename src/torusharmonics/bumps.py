@@ -539,16 +539,3 @@ def _unit_mass_bump(interval: DyadicInterval, log_size: int) -> np.ndarray:
     prof = PlateauProfile(0.0, ell / 4.0, 3.0 * ell / 4.0, ell)
     vals = prof((x - interval.left) % 1.0)
     return vals / vals.mean()
-
-
-def periodized_from_samples(theta, k: int, log_size: int, periods: int = 5) -> GridFunction:
-    """Directly periodize a scaled line function theta_k(x) = 2^k theta(2^k x).
-
-    Used only as an independent cross-check of the spectral construction.
-    """
-    n = 2**log_size
-    x = np.arange(n) / n
-    total = np.zeros(n, dtype=np.complex128)
-    for j in range(-periods, periods + 1):
-        total += 2.0**k * np.asarray(theta(2.0**k * (x + j)))
-    return GridFunction((log_size,), total)

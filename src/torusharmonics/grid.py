@@ -257,9 +257,5 @@ def lp_norm(f: GridFunction, p: float) -> float:
     return norm(f, NormSpec.lp(p))
 
 
-def linf_norm(f: GridFunction) -> float:
-    return norm(f, NormSpec.linf())
-
-
 def weak_lp_norm(f: GridFunction, p: float) -> float:
     return norm(f, NormSpec.weak(p))

@@ -15,7 +15,9 @@ around the torus from its right half to its left half.  The shifted
 operators keep one pass per width; the sup over fractional shifts fuses its
 two sliding maxima into one window of min(w+1, N) + w - 1 cells, the global
 max once that window wraps the torus.  Every cyclic sliding max doubles its
-window on the wrapped array, O(N log w) exact maxima.  The strong maximal
+window on the wrapped array, O(N log w) exact maxima.  The 1D kernels run
+along the last axis and treat every leading row on its own, so ``maximal``
+stacks a list of functions into one call.  The strong maximal
 function restricts to rectangles with power-of-two side lengths at
 arbitrary offsets (any rectangle is contained in one of that class with at
 most 4x the area); sliding maxima are separable and commute with pointwise
@@ -219,20 +221,44 @@ def _strong_2d(absvals: np.ndarray) -> np.ndarray:
     return best
 
 
-def maximal(f: GridFunction, kind: str = "hl", n: int = 0, axis: int = 0) -> GridFunction:
-    """Maximal function of |f|.
+#: the kinds that run along the last axis of a 1D input or of a stacked batch
+_KERNELS_1D = ("hl", "dyadic", "shifted", "shifted_sup")
+
+
+def maximal(
+    f: GridFunction | list[GridFunction], kind: str = "hl", n: int = 0, axis: int = 0
+) -> GridFunction | list[GridFunction]:
+    """Maximal function of |f|, for one grid function or a list of them.
 
     kind: 'hl' (all grid intervals), 'dyadic', 'shifted' (uses ``n``),
     'shifted_sup' (sup over fractional shifts too), 'strong' (2D),
     'directional' (1D operator along ``axis`` of a 2D input).
 
+    The 1D kinds also take a list of same-size 1D functions and return the
+    list of their maximal functions, in input order.  The list is stacked
+    into one kernel call along a leading axis, and every kernel treats each
+    row on its own, so each output equals the single-function call bit for
+    bit.  'strong' and 'directional' take one function only.
+
     'dyadic' propagates a NaN sample only within the dyadic blocks that hold
     it: the output is NaN on the half of the torus (the level-1 block) that
     contains the sample and finite on the other half.
     """
-    absvals = np.abs(f.values)
-    if kind in ("hl", "dyadic", "shifted", "shifted_sup"):
-        if f.dims != 1:
+    batch = isinstance(f, (list, tuple))
+    if batch:
+        if kind not in _KERNELS_1D:
+            raise ValueError(f"kind {kind!r} does not take a list of grid functions")
+        if not f:
+            raise ValueError("maximal of an empty list")
+        if any(g.log_sizes != f[0].log_sizes for g in f):
+            raise ValueError("a batch needs functions of one grid size")
+        log_sizes = f[0].log_sizes
+        values = np.stack([g.values for g in f])
+    else:
+        log_sizes, values = f.log_sizes, f.values
+    absvals = np.abs(values)
+    if kind in _KERNELS_1D:
+        if len(log_sizes) != 1:
             raise ValueError(f"kind {kind!r} requires a 1D grid function")
         if kind == "hl":
             out = _hl_runs(absvals)
@@ -240,7 +266,9 @@ def maximal(f: GridFunction, kind: str = "hl", n: int = 0, axis: int = 0) -> Gri
             out = _dyadic_axis(absvals)
         else:
             out = _shifted_widths(absvals, n, kind == "shifted_sup")
-        return GridFunction(f.log_sizes, out)
+        if batch:
+            return [GridFunction(log_sizes, row) for row in out]
+        return GridFunction(log_sizes, out)
     if f.dims != 2:
         raise ValueError(f"kind {kind!r} requires a 2D grid function")
     if kind == "strong":

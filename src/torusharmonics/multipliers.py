@@ -228,18 +228,6 @@ def apply_biparameter(
     return inverse_transform(Spectrum(f.log_sizes, _lattice_spectrum(m, f, g, band)))
 
 
-def split_mean_term(m: MultiplierSymbol, f: GridFunction):
-    """(m(0) f_hat(0) constant term, remainder operator output).
-
-    Mirrors the reduction that assumes m vanishes at the origin.
-    """
-    spec = fourier_coefficients(f)
-    m0 = complex(np.asarray(m(np.array([0]))).ravel()[0])
-    mean_term = m0 * spec.coefficient(0)
-    out = apply_1d(m, f)
-    return mean_term, GridFunction(f.log_sizes, out.values - mean_term)
-
-
 # --- finite-difference validation -------------------------------------------
 
 

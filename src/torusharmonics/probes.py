@@ -327,12 +327,13 @@ def llogl_maximal_experiment(
     """Compare ||Mf||_1 with the L log L norm and (Mf)* with f** pointwise.
 
     ``maxima`` are the members' ``maximal(f, "hl")`` in member order, when
-    the caller has them already; they are computed here otherwise.
+    the caller has them already; otherwise one batched ``maximal`` call
+    computes them here.
     """
     ratios, profiles = {}, {}
     lows, highs = [np.empty(0)], [np.empty(0)]
     if maxima is None:
-        maxima = [maximal(f, "hl") for f in corpus.functions()]
+        maxima = maximal(corpus.functions(), "hl")
     for (name, f), mf in zip(corpus.members, maxima, strict=True):
         mf_l1 = lp_norm(mf, 1.0)
         zyg = zygmund_norm(f, 1, "closed_form")

@@ -128,30 +128,26 @@ class _PiecewiseStarCurve:
             out += self.coef[seg, j] * basis
         return out
 
-    def _antiderivs_at_cuts(self) -> tuple[np.ndarray, list[dict[int, float]]]:
-        """F(cuts[m]) for F(t) = int_0^t g, and each piece's lower-cut A_j.
+    def _antiderivs_at_cuts(self) -> tuple[np.ndarray, np.ndarray]:
+        """F(cuts[m]) for F(t) = int_0^t g, and every basis antiderivative at the cuts.
 
-        The second value holds, per piece m, the basis antiderivatives
-        A_j(cuts[m]) of its nonzero terms.  Piece m's upper cut is piece
-        m + 1's lower one, so each antiderivative a piece reads there is
-        taken once.
+        The second value has one row per basis index j: A_j at every cut.
+        Per piece, the terms c_j (A_j(upper) - A_j(lower)) of the nonzero
+        c_j add in j order from 0.0, and ``np.cumsum`` adds the pieces in
+        order, so F takes the floats of a running sum over the pieces.  A
+        skipped term adds 0.0, which leaves a sum that starts at 0.0
+        unchanged.  A_j (j >= 1) is singular at t = 0: the first piece must
+        not use it, and its entry there is a placeholder 0.0.
         """
+        if self.cuts[0] == 0.0 and np.any(self.coef[0, 1:] != 0.0):
+            raise ValueError("singular basis terms are not integrable from 0")
+        anti = _basis_antiderivs(self.cuts, self.coef.shape[1])
+        pieces = np.zeros(len(self.coef))
+        for c, a in zip(self.coef.T, anti):
+            pieces += np.where(c != 0.0, c * (a[1:] - a[:-1]), 0.0)
         totals = np.zeros(len(self.cuts))
-        lowers = []
-        upper: dict[int, float] = {}
-        for m, coef in enumerate(self.coef):
-            lower, upper = upper, {}
-            total = 0.0
-            for j, c in enumerate(coef):
-                if c == 0.0:
-                    continue
-                upper[j] = _basis_antideriv(j, self.cuts[m + 1])
-                if j not in lower:
-                    lower[j] = _basis_antideriv(j, self.cuts[m])
-                total += c * (upper[j] - lower[j])
-            totals[m + 1] = totals[m] + total
-            lowers.append(lower)
-        return totals, lowers
+        np.cumsum(pieces, out=totals[1:])
+        return totals, anti
 
     def prefix_integral_at_cuts(self) -> np.ndarray:
         """F(cuts[m]) for F(t) = int_0^t g, exact per-piece antiderivatives."""
@@ -162,25 +158,24 @@ class _PiecewiseStarCurve:
         return float(self.prefix_integral_at_cuts()[-1])
 
     def star(self) -> "_PiecewiseStarCurve":
-        """The prefix average (1/t) int_0^t of this curve, exactly."""
+        """The prefix average (1/t) int_0^t of this curve, exactly.
+
+        On piece m, F(t)/t = [F(t0) - sum_j c_j A_j(t0)] / t + c_0
+        + sum_{j>=1} c_j A_j(t) / t, with the sum over the nonzero c_j in j
+        order, as in ``_antiderivs_at_cuts``.
+        """
         n_pieces, n_basis = self.coef.shape
+        prefix, anti = self._antiderivs_at_cuts()
+        lower_terms = np.zeros(n_pieces)
+        for c, a in zip(self.coef.T, anti):
+            lower_terms += np.where(c != 0.0, c * a[:-1], 0.0)
         new_coef = np.zeros((n_pieces, n_basis + 1))
-        prefix, lowers = self._antiderivs_at_cuts()
-        for m in range(n_pieces):
-            t0 = self.cuts[m]
-            c = self.coef[m]
-            if t0 == 0.0 and np.any(c[1:] != 0.0):
-                raise ValueError("singular basis terms are not integrable from 0")
-            # F(t)/t = [F(t0) - sum_j c_j A_j(t0)] / t + c_0 + sum_{j>=1} ...
-            const_term = prefix[m] - sum(
-                c[j] * lowers[m][j] for j in range(n_basis) if c[j] != 0.0
-            )
-            new_coef[m, 0] = c[0]
-            new_coef[m, 1] += const_term
-            for j in range(1, n_basis):
-                if c[j] != 0.0:
-                    # int b_j = -log^j(1/t)/j, so b_j feeds b_{j+1}
-                    new_coef[m, j + 1] += -c[j] / j
+        new_coef[:, 0] = self.coef[:, 0]
+        new_coef[:, 1] += prefix[:-1] - lower_terms
+        for j in range(1, n_basis):
+            c = self.coef[:, j]
+            # int b_j = -log^j(1/t)/j, so b_j feeds b_{j+1}
+            new_coef[:, j + 1] += np.where(c != 0.0, -c / j, 0.0)
         return _PiecewiseStarCurve(self.cuts, new_coef)
 
     @staticmethod
@@ -195,13 +190,29 @@ class _PiecewiseStarCurve:
         return _PiecewiseStarCurve(cuts, coef)
 
 
-def _basis_antideriv(j: int, t: float) -> float:
-    """Antiderivative of b_j at t (b_0 = 1, b_j = log^{j-1}(1/t)/t)."""
-    if j == 0:
-        return t
-    if t == 0.0:
-        raise ValueError("singular antiderivative at 0")
-    return -math.log(1.0 / t) ** j / j
+def _log_powers(ts: np.ndarray, top: int) -> list[np.ndarray]:
+    """log^i(1/t) at every t > 0 in ``ts``, for i = 0..top.
+
+    Each log is one ``math.log`` call and each power Python's ``**``, point
+    by point: numpy's ``log`` differs from libm's in the last place on some
+    corpus breakpoints, and the curves and norms must not depend on which
+    one ran.
+    """
+    logs = [math.log(1.0 / t) for t in ts.tolist()]
+    return [np.array([x**i for x in logs]) for i in range(top + 1)]
+
+
+def _basis_antiderivs(cuts: np.ndarray, n_basis: int) -> np.ndarray:
+    """A_j at every cut for j < n_basis: A_0(t) = t, A_j(t) = -log^j(1/t)/j.
+
+    A_j (j >= 1) has no value at t = 0; a cut there gets 0.0.
+    """
+    anti = np.zeros((n_basis, len(cuts)))
+    anti[0] = cuts
+    inner = cuts != 0.0
+    for j, power in enumerate(_log_powers(cuts[inner], n_basis - 1)[1:], start=1):
+        anti[j, inner] = -power / j
+    return anti
 
 
 @dataclass
@@ -269,25 +280,13 @@ def zygmund_norm(f, n: int = 1, method: str = "closed_form") -> float:
         raise ValueError("method must be 'iterated' or 'closed_form'")
     if n == 0:
         return profile.l1_norm()
-    # each breakpoint's antiderivative is also the next piece's lower end
-    total = 0.0
-    lower = 0.0  # the antiderivative at t = 0
-    for t1, a in zip(profile.breakpoints, profile.values):
-        upper = _log_moment_antideriv(n, t1)
-        total += a * (upper - lower)
-        lower = upper
-    return total / math.factorial(n)
-
-
-def _log_moment_antideriv(n: int, t: float) -> float:
-    """int_0^t log^n(1/s) ds = t sum_{i<=n} (n!/i!) log^i(1/t)."""
-    if t == 0.0:
-        return 0.0
-    log_term = math.log(1.0 / t)
-    total = 0.0
-    for i in range(n + 1):
-        total += math.factorial(n) / math.factorial(i) * log_term**i
-    return t * total
+    # int_0^t log^n(1/s) ds = t sum_{i<=n} (n!/i!) log^i(1/t) at each
+    # breakpoint, the previous breakpoint's value being each piece's lower end
+    moment = np.zeros(len(profile.breakpoints))
+    for i, power in enumerate(_log_powers(profile.breakpoints, n)):
+        moment += math.factorial(n) / math.factorial(i) * power
+    pieces = profile.values * np.diff(profile.breakpoints * moment, prepend=0.0)
+    return np.cumsum(np.concatenate([[0.0], pieces]))[-1] / math.factorial(n)
 
 
 def lorentz_norm(f, p: float, q: float) -> float:

@@ -122,12 +122,12 @@ class RunContext:
     """What the checks of one suite run share, computed once per run.
 
     It holds the corpus of each (seed, log size) and the HL maxima of its
-    members, one ``maximal(f, "hl")`` call per member.  A corpus resampled
-    from a coarser grid has the same members as the one generated at its
-    own size, so one key serves both; member names are not keys, as the
-    sizes share them.  ``run_suite`` passes one context to every check that
-    takes ``ctx``; a check called without one builds its own, so nothing is
-    kept past one run.
+    members, from one batched ``maximal(members, "hl")`` call per corpus.
+    A corpus resampled from a coarser grid has the same members as the one
+    generated at its own size, so one key serves both; member names are not
+    keys, as the sizes share them.  ``run_suite`` passes one context to
+    every check that takes ``ctx``; a check called without one builds its
+    own, so nothing is kept past one run.
     """
 
     def __init__(self):
@@ -141,11 +141,15 @@ class RunContext:
         return self._corpora[key]
 
     def hl_maxima(self, seed: int, log_size: int) -> list[GridFunction]:
-        """``maximal(f, "hl")`` of each member of ``corpus(seed, log_size)``, in order."""
+        """``maximal(f, "hl")`` of each member of ``corpus(seed, log_size)``, in order.
+
+        One stacked kernel call takes the whole corpus; each entry equals
+        the member's own call bit for bit.
+        """
         key = (seed, log_size)
         if key not in self._hl_maxima:
             members = self.corpus(seed, log_size).functions()
-            self._hl_maxima[key] = [maximal(f, "hl") for f in members]
+            self._hl_maxima[key] = maximal(members, "hl")
         return self._hl_maxima[key]
 
 
@@ -214,9 +218,9 @@ def check_maximal_oracle(config: RunConfig, ctx: RunContext | None = None) -> Ch
         Gate("|M chi(3/4) - 2/3|", abs(value - 2.0 / 3.0), 2.0 / n),
         Gate("|M chi(3/4) - window sweep|", abs(value - best), 1e-12, "<"),
     ]
-    for f, mf in zip(funcs, ctx.hl_maxima(config.seed, config.log_size)):
-        md = maximal(f, "dyadic").values.real
-        m = mf.values.real
+    maxima = ctx.hl_maxima(config.seed, config.log_size)
+    for f, mf, mdf in zip(funcs, maxima, maximal(funcs, "dyadic")):
+        md, m = mdf.values.real, mf.values.real
         gates += [
             Gate(f"max(|f| - M_D f) on {len(funcs)} functions",
                  np.max(np.abs(f.values) - md), 1e-12),

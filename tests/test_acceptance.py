@@ -105,14 +105,19 @@ def test_one_nan_maximal_sample_fails_weak_1_1_ceiling(monkeypatch, tmp_path):
     exact = suite_module.maximal
 
     def one_nan_sample(f, kind="hl", **kwargs):
-        out = exact(f, kind, **kwargs)
-        values = np.array(out.values)
-        values[0] = np.nan
-        return GridFunction(out.log_sizes, values)
+        # the check takes its maxima from one batched call over the corpus
+        assert isinstance(f, list)
+        outs = []
+        for out in exact(f, kind, **kwargs):
+            values = np.array(out.values)
+            values[0] = np.nan
+            outs.append(GridFunction(out.log_sizes, values))
+        return outs
 
     monkeypatch.setattr(suite_module, "maximal", one_nan_sample)
     result = suite_module.check_weak11(RunConfig(out_dir=str(tmp_path), **SMALL))
     assert not result.passed, result.summary
+    assert not result.crashed and math.isnan(result.gates[0].observed)
 
 
 def test_weak_1_1_ceiling_reports_the_supremum(tmp_path):

@@ -10,7 +10,6 @@ from torusharmonics.bumps import (
     build_pou,
     decompose_adapted,
     make_adapted_family,
-    periodized_from_samples,
     smooth_step,
     verify_adapted,
 )
@@ -19,6 +18,19 @@ from torusharmonics.grid import GridFunction, fourier_coefficients, inner_produc
 
 L = 10
 K = 7
+
+
+def periodized_from_samples(theta, k: int, log_size: int, periods: int = 5) -> GridFunction:
+    """Directly periodize a scaled line function theta_k(x) = 2^k theta(2^k x).
+
+    Used only as an independent cross-check of the spectral construction.
+    """
+    n = 2**log_size
+    x = np.arange(n) / n
+    total = np.zeros(n, dtype=np.complex128)
+    for j in range(-periods, periods + 1):
+        total += 2.0**k * np.asarray(theta(2.0**k * (x + j)))
+    return GridFunction((log_size,), total)
 
 
 @pytest.fixture(scope="module")

@@ -613,3 +613,56 @@ class TestMonotone:
         mf = maximal(GridFunction((log0, log1), dominated(vals, rng)), "strong").values.real
         mg = maximal(GridFunction((log0, log1), vals), "strong").values.real
         assert (mf <= mg + 1e-12 * vals.sum()).all()
+
+
+class TestBatchedMaximal:
+    """A list of functions is one stacked kernel call, equal member for member
+    to one call per function."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(4, 8),
+        st.integers(1, 4),
+        st.sampled_from([("hl", 0), ("dyadic", 0), ("shifted", 1), ("shifted", 3),
+                         ("shifted_sup", 0), ("shifted_sup", 2)]),
+        st.data(),
+    )
+    def test_list_equals_one_call_per_member(self, log_size, members, kind_shift, data):
+        kind, shift = kind_shift
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        funcs = []
+        for _ in range(members):
+            vals = rng.lognormal(sigma=2.0, size=2**log_size)
+            vals = vals * rng.choice([-1.0, 1.0, 1j], vals.size)
+            cells = data.draw(st.lists(st.integers(0, 2**log_size - 1), max_size=2))
+            vals[cells] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 0.0]))
+            funcs.append(GridFunction((log_size,), vals))
+        with np.errstate(invalid="ignore"):
+            batch = maximal(funcs, kind, n=shift)
+            single = [maximal(f, kind, n=shift) for f in funcs]
+        assert isinstance(batch, list) and len(batch) == members
+        for got, want in zip(batch, single):
+            assert got.log_sizes == want.log_sizes
+            assert np.array_equal(got.values, want.values, equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["hl", "dyadic", "shifted", "shifted_sup"])
+    def test_corpus_batch_and_batch_of_one(self, kind):
+        funcs = generate_corpus(11, 9).functions()
+        for got, f in zip(maximal(funcs, kind, n=1), funcs):
+            assert np.array_equal(got.values, maximal(f, kind, n=1).values)
+        (one,) = maximal(funcs[:1], kind, n=1)
+        assert np.array_equal(one.values, maximal(funcs[0], kind, n=1).values)
+
+    def test_malformed_batches_raise(self):
+        f8 = GridFunction((8,), np.ones(2**8))
+        f9 = GridFunction((9,), np.ones(2**9))
+        f2d = GridFunction((4, 4), np.ones((16, 16)))
+        with pytest.raises(ValueError, match="empty"):
+            maximal([], "hl")
+        with pytest.raises(ValueError, match="one grid size"):
+            maximal([f8, f9], "hl")
+        with pytest.raises(ValueError, match="1D"):
+            maximal([f2d, f2d], "dyadic")
+        for kind in ("strong", "directional"):
+            with pytest.raises(ValueError, match="list"):
+                maximal([f2d], kind)

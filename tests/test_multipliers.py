@@ -18,7 +18,6 @@ from torusharmonics.multipliers import (
     apply_biparameter,
     band_limit,
     reassembly_residual,
-    split_mean_term,
     symbol_coefficients,
     symbol_registry,
     trilinear_pairing_check,
@@ -28,6 +27,18 @@ from torusharmonics.multipliers import (
 L = 9
 N = 2**L
 REG = symbol_registry()
+
+
+def split_mean_term(m: MultiplierSymbol, f: GridFunction):
+    """(m(0) f_hat(0) constant term, remainder operator output).
+
+    Mirrors the reduction that assumes m vanishes at the origin.
+    """
+    spec = fourier_coefficients(f)
+    m0 = complex(np.asarray(m(np.array([0]))).ravel()[0])
+    mean_term = m0 * spec.coefficient(0)
+    out = apply_1d(m, f)
+    return mean_term, GridFunction(f.log_sizes, out.values - mean_term)
 
 
 def random_band_limited(seed, band, log_size=L):

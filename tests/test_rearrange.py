@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rearrange_oracles as oracle
+from torusharmonics.corpus import generate_corpus
 from torusharmonics.grid import GridFunction, lp_norm, weak_lp_norm
 from torusharmonics.rearrange import (
     RearrangementCurve,
     StepProfile,
+    _PiecewiseStarCurve,
     kolmogorov_functional,
     lorentz_norm,
     n_star,
@@ -316,7 +321,7 @@ class TestSharedBreakpointAntiderivatives:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_closed_form_zygmund_equals_per_piece_form(self, n):
-        from torusharmonics.rearrange import _log_moment_antideriv
+        from rearrange_oracles import _log_moment_antideriv
 
         for f in random_functions(6, seed=n):
             profile = rearrangement(f)
@@ -328,7 +333,7 @@ class TestSharedBreakpointAntiderivatives:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_prefix_integrals_equal_per_piece_form(self, order):
-        from torusharmonics.rearrange import _basis_antideriv
+        from rearrange_oracles import _basis_antideriv
 
         for f in random_functions(4, seed=order):
             curve = star_curve(rearrangement(f), order)
@@ -346,8 +351,7 @@ class TestSharedBreakpointAntiderivatives:
     def test_star_equals_per_piece_constant_on_corpus_profiles(self, order):
         # each piece's constant term with its lower-cut antiderivatives taken
         # afresh, as a separate pass after the prefix integrals
-        from torusharmonics.corpus import generate_corpus
-        from torusharmonics.rearrange import _basis_antideriv
+        from rearrange_oracles import _basis_antideriv
 
         for _, f in generate_corpus(11, 9).members[::4]:
             curve = star_curve(rearrangement(f), order)
@@ -366,3 +370,69 @@ class TestSharedBreakpointAntiderivatives:
             star = curve.star()
             assert np.array_equal(star.cuts, curve.cuts)
             assert np.array_equal(star.coef, want)
+
+
+def assert_equals_loop_form(profile, orders=(1, 2, 3, 4)):
+    """Coefficients, prefix integrals and closed-form norms, bit for bit."""
+    for order in orders:
+        curve, want = star_curve(profile, order), oracle.star_curve(profile, order)
+        assert np.array_equal(curve.cuts, want.cuts)
+        assert np.array_equal(curve.coef, want.coef)
+        prefix = oracle.antiderivs_at_cuts(want)[0]
+        assert np.array_equal(curve.prefix_integral_at_cuts(), prefix)
+    for n in (1, 2, 3):
+        assert zygmund_norm(profile, n, "closed_form") == oracle.zygmund_closed_form(profile, n)
+
+
+@st.composite
+def step_profiles(draw):
+    """Profiles of grid functions with repeated values, one step, or zeros
+    (a profile that ends below 1), and profiles built step by step."""
+    kind = draw(st.sampled_from(("repeats", "one_step", "ends_below_1", "steps")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log_size = draw(st.integers(4, 9))
+    n = 2**log_size
+    if kind == "repeats":
+        return rearrangement(GridFunction((log_size,), rng.choice([0.5, 1.0, 3.0, 1e-3], n)))
+    if kind == "one_step":
+        return rearrangement(GridFunction.constant(float(rng.lognormal()), (log_size,)))
+    if kind == "ends_below_1":
+        vals = np.where(rng.uniform(size=n) < 0.7, 0.0, rng.lognormal(sigma=2.0, size=n))
+        vals[0] = 1.0
+        return rearrangement(GridFunction((log_size,), vals))
+    steps = draw(st.integers(1, 12))
+    breakpoints = np.unique(rng.uniform(1e-6, 1.0, steps))
+    if draw(st.booleans()):
+        breakpoints[-1] = 1.0
+    values = np.sort(rng.lognormal(sigma=2.0, size=breakpoints.size))[::-1]
+    if draw(st.booleans()):
+        values[-1] = 0.0
+    return StepProfile(breakpoints, values)
+
+
+class TestArrayFormEqualsLoopForm:
+    """The array-form star curves and closed-form norms equal the per-piece
+    loops of ``rearrange_oracles`` bit for bit."""
+
+    @pytest.mark.parametrize("log_size", [9, 10])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_every_corpus_member(self, seed, log_size):
+        for _, f in generate_corpus(seed, log_size).members:
+            assert_equals_loop_form(rearrangement(f))
+
+    @settings(max_examples=60, deadline=None)
+    @given(step_profiles())
+    def test_random_step_profiles(self, profile):
+        assert_equals_loop_form(profile)
+
+    def test_empty_profile(self):
+        assert_equals_loop_form(rearrangement(GridFunction.constant(0.0, (4,))))
+
+    def test_singular_term_at_zero_raises(self):
+        # b_1 = 1/t on the first piece has no antiderivative from 0
+        curve = _PiecewiseStarCurve(np.array([0.0, 0.5, 1.0]), np.array([[1.0, 2.0], [1.0, 0.0]]))
+        for call in (curve.star, curve.prefix_integral_at_cuts, curve.integral):
+            with pytest.raises(ValueError, match="singular"):
+                call()
+        with pytest.raises(ValueError, match="singular"):
+            oracle.star(curve)

@@ -17,11 +17,14 @@ from torusharmonics.suite import RunContext, run_suite
 SMALL = dict(log_size=8, log_size_2d=6)
 
 
-def _nan_first_sample(f, kind="hl", **kwargs):
-    out = maximal(f, kind, **kwargs)
-    values = np.array(out.values)
-    values[0] = np.nan
-    return GridFunction(out.log_sizes, values)
+def _nan_first_sample(fs, kind="hl", **kwargs):
+    """Batched ``maximal`` with NaN in the first sample of each output."""
+    outs = []
+    for out in maximal(fs, kind, **kwargs):
+        values = np.array(out.values)
+        values[0] = np.nan
+        outs.append(GridFunction(out.log_sizes, values))
+    return outs
 
 
 def _worst_weak_ratio(config):
@@ -58,20 +61,28 @@ def test_one_run_computes_each_members_maximum_once(monkeypatch, tmp_path):
     calls = []
 
     def counted(f, kind="hl", **kwargs):
-        if kind == "hl" and f.log_sizes == (config.log_size,):
+        if kind == "hl" and isinstance(f, list):
             calls.append(f)
         return maximal(f, kind, **kwargs)
 
     monkeypatch.setattr(suite_module, "maximal", counted)
-    members = len(generate_corpus(config.seed, config.log_size).members)
+    members = generate_corpus(config.seed, config.log_size).functions()
+
+    def one_call_per_corpus(count):
+        # each call holds every member, in order, and nothing else
+        assert len(calls) == count
+        for batch in calls:
+            assert len(batch) == len(members)
+            assert all(np.array_equal(f.values, g.values) for f, g in zip(batch, members))
+
     only = {"maximal_pointwise_oracle", "weak_1_1_ceiling"}
     assert run_suite(config, only=only, echo=lambda line: None) == 0
-    assert len(calls) == members
+    one_call_per_corpus(1)
     # standalone, each check builds its own context
     calls.clear()
     suite_module.check_maximal_oracle(config)
     suite_module.check_weak11(config)
-    assert len(calls) == 2 * members
+    one_call_per_corpus(2)
 
 
 def test_a_check_after_a_patched_run_sees_fresh_maxima(monkeypatch, tmp_path):
@@ -80,7 +91,8 @@ def test_a_check_after_a_patched_run_sees_fresh_maxima(monkeypatch, tmp_path):
     with monkeypatch.context() as patch:
         patch.setattr(suite_module, "maximal", _nan_first_sample)
         assert run_suite(config, only=only, echo=lambda line: None) == 1
-        assert not suite_module.check_weak11(config).passed
+        patched = suite_module.check_weak11(config)
+        assert not patched.passed and not patched.crashed
     assert run_suite(config, only=only, echo=lambda line: None) == 0
     result = suite_module.check_weak11(config)
     assert result.passed and result.details["worst"] == _worst_weak_ratio(config)

@@ -10,8 +10,10 @@ writes, per seed and check, the verdict, every gate's observed value and the
 check's details; it prints each check's pass rate and failing seeds, and
 under it each gate's worst observed value and the seed where it occurs.  The
 runtime gate, the runtime and the config hash are left out, so two sweeps
-of the same code are equal.  ``diff`` compares two sweeps field by field,
-prints each difference, and exits 1 if there is one.
+of the same code are equal.  ``diff`` first says whether each seed's set of
+failing checks is the same in both sweeps and names the seeds where it is
+not; it then compares the sweeps field by field, prints each difference,
+and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -107,8 +109,26 @@ def _same(a, b) -> bool:
     return a == b or both_nan
 
 
+def failing_checks(sweep: dict) -> dict[str, list[str]]:
+    """Per seed, the sorted names of the checks that failed."""
+    return {
+        seed: sorted(check for check, entry in checks.items() if not entry["passed"])
+        for seed, checks in sweep["seeds"].items()
+    }
+
+
 def diff(a: Path, b: Path) -> int:
-    found = list(differences(json.loads(a.read_text()), json.loads(b.read_text())))
+    sweep_a, sweep_b = json.loads(a.read_text()), json.loads(b.read_text())
+    fail_a, fail_b = failing_checks(sweep_a), failing_checks(sweep_b)
+    seeds = sorted(set(fail_a) | set(fail_b), key=int)
+    changed = [s for s in seeds if fail_a.get(s) != fail_b.get(s)]
+    if changed:
+        print(f"failing checks differ on seeds {', '.join(changed)}")
+        for s in changed:
+            print(f"  seed {s}: {fail_a.get(s)} != {fail_b.get(s)}")
+    else:
+        print(f"failing checks: the same on all {len(seeds)} seeds")
+    found = list(differences(sweep_a, sweep_b))
     for path, x, y in found:
         print(f"{path}: {x!r} != {y!r}")
     print(f"{len(found)} differences")
