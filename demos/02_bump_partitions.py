@@ -34,7 +34,7 @@ res = np.abs(system.triple_sum(n1, n2) - ((n1 != 0) | (n2 != 0))).max()
 print("double partition residual on max|n| <=", b2, ":", res)
 
 # measured adaptation constants: |psi_k| <= C_m 2^k (1 + 2^k dist)^{-m}
-fam = make_adapted_family("from_pou_1", K, L, m_max=6)
+fam = make_adapted_family("from_pou_1", K, L)
 table = verify_adapted(fam, 6)
 print("decay constants C_m:", {m: round(c, 3) for m, c in table["C"].items()})
 

@@ -93,7 +93,6 @@ class AdaptedFamily:
     zero_mean: bool
     label: str = ""
     hat: object = None
-    constants: dict[int, float] = field(default_factory=dict)
     floor: float | None = None
     _bands: dict[int, Band] = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -140,8 +139,8 @@ class AdaptedFamily:
     def normalized_member_values(self, interval: DyadicInterval, offset_samples: int = 0):
         return 2.0 ** (interval.level / 2.0) * self.member_values(interval, offset_samples)
 
-    def check_zero_mean(self, tol: float = 1e-12) -> bool:
-        return all(abs(p.mean()) <= tol for p in self.prototypes.values())
+    def check_zero_mean(self) -> bool:
+        return all(abs(p.mean()) <= 1e-12 for p in self.prototypes.values())
 
 
 def build_pou(scale_count: int, log_size: int):
@@ -349,31 +348,25 @@ def verify_adapted(fam: AdaptedFamily, m_max: int = 4) -> dict[str, dict[int, fl
     return {"C": c_table, "C_prime": cprime_table}
 
 
-def make_adapted_family(
-    kind: str,
-    scale_count: int,
-    log_size: int,
-    m_max: int = 4,
-    k0: int | None = None,
-) -> AdaptedFamily:
-    """Construct an adapted family: from_pou_1 | from_pou_2 | lower_bounded."""
+def make_adapted_family(kind: str, scale_count: int, log_size: int) -> AdaptedFamily:
+    """Construct an adapted family: from_pou_1 | from_pou_2 | lower_bounded.
+
+    Its decay constants are measured on demand by ``verify_adapted``.
+    """
     if kind == "from_pou_1":
-        fam = build_pou(scale_count, log_size)[0]
-    elif kind == "from_pou_2":
-        fam = build_pou(scale_count, log_size)[1]
-    elif kind == "lower_bounded":
-        fam = _lower_bounded_family(scale_count, log_size, k0)
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
-    fam.constants = verify_adapted(fam, m_max)["C"]
-    return fam
+        return build_pou(scale_count, log_size)[0]
+    if kind == "from_pou_2":
+        return build_pou(scale_count, log_size)[1]
+    if kind == "lower_bounded":
+        return _lower_bounded_family(scale_count, log_size)
+    raise ValueError(f"unknown family kind {kind!r}")
 
 
 class ConstructionError(RuntimeError):
     """Raised when a constructive recipe fails to produce its guarantee."""
 
 
-def _lower_bounded_family(scale_count: int, log_size: int, k0: int | None) -> AdaptedFamily:
+def _lower_bounded_family(scale_count: int, log_size: int) -> AdaptedFamily:
     """Zero-mean family with |phi_I| >= a chi_I for a measured floor a > 0.
 
     The fine scales use the difference construction theta = beta - beta(./2)/2
@@ -381,16 +374,12 @@ def _lower_bounded_family(scale_count: int, log_size: int, k0: int | None) -> Ad
     degenerates on the integer lattice) use an explicit mean-corrected bump,
     one prototype per level, so every member is still a translate.
     """
-    tol = 1e-9
-    choices = [k0] if k0 is not None else [2, 3, 4, 5]
-    for k0_try in choices:
-        fam = _lower_bounded_attempt(scale_count, log_size, k0_try, tol)
+    choices = [2, 3, 4, 5]
+    for k0 in choices:
+        fam = _lower_bounded_attempt(scale_count, log_size, k0, 1e-9)
         if fam is not None:
             return fam
-    raise ConstructionError(
-        f"lower-bounded family floor not positive for k0 in {choices}; "
-        "retry with a larger k0"
-    )
+    raise ConstructionError(f"lower-bounded family floor not positive for k0 in {choices}")
 
 
 def _lower_bounded_attempt(scale_count, log_size, k0, tol):

@@ -150,19 +150,18 @@ def corpus_descriptors(
     n_trig: int = 6,
     n_indicator: int = 6,
     n_spike: int = 4,
-    trig_band: int = 8,
-    endpoint_log_size: int = 7,
 ):
-    """Deterministic descriptor list; endpoints live on the 2^-7 grid so the
-    same members are exactly representable at every resolution >= 7."""
+    """Deterministic descriptor list; trigonometric frequencies lie in
+    [-8, 8], and endpoints live on the 2^-7 grid so the same members are
+    exactly representable at every resolution >= 7."""
     rng = np.random.default_rng(seed)
     descriptors = []
     for i in range(n_trig):
         count = int(rng.integers(2, 7))
-        freqs = tuple(int(v) for v in rng.integers(-trig_band, trig_band + 1, count))
+        freqs = tuple(int(v) for v in rng.integers(-8, 9, count))
         coeffs = tuple(complex(a, b) for a, b in rng.normal(size=(count, 2)))
         descriptors.append(TrigPolynomial(f"trig{i}", freqs, coeffs))
-    snap = 2**endpoint_log_size
+    snap = 2**7
     for i in range(n_indicator):
         count = int(rng.integers(1, 4))
         ivs, hts = [], []
@@ -184,15 +183,15 @@ def corpus_descriptors(
     return descriptors
 
 
-def generate_corpus(seed: int, log_size: int, dims: int = 1, **kwargs) -> Corpus:
+def generate_corpus(seed: int, log_size: int, dims: int = 1) -> Corpus:
     """Deterministic corpus on a 2^log_size grid (per axis for dims=2)."""
     if dims == 1:
-        descriptors = corpus_descriptors(seed, **kwargs)
+        descriptors = corpus_descriptors(seed)
         members = [(d.name, d.sample(log_size)) for d in descriptors]
         return Corpus(seed, log_size, descriptors, members)
     if dims != 2:
         raise ValueError("corpora cover 1D and 2D grids")
-    base = corpus_descriptors(seed, **kwargs)
+    base = corpus_descriptors(seed)
     pair_rng = np.random.default_rng(seed + 1)
     descriptors = []
     # tensor pairs of 1D members plus band-limited 2D noise

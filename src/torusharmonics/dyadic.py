@@ -99,8 +99,8 @@ def relate(a: DyadicInterval, b: DyadicInterval) -> Relation:
     return a.relate(b)
 
 
-def all_dyadic_intervals(max_level: int, min_level: int = 1):
-    for k in range(min_level, max_level + 1):
+def all_dyadic_intervals(max_level: int):
+    for k in range(1, max_level + 1):
         for j in range(2**k):
             yield DyadicInterval(k, j)
 

@@ -388,14 +388,15 @@ def cz_decompose(f: GridFunction, alpha: float) -> CZDecomposition:
     return CZDecomposition(alpha, intervals, GridFunction(f.log_sizes, good), bad_pieces)
 
 
-def vector_maximal(fs, r: float, kind: str = "hl", n: int = 0) -> GridFunction:
-    """(sum_k (M f_k)^r)^{1/r} pointwise; r = inf means sup_k."""
+def vector_maximal(fs, r: float) -> GridFunction:
+    """(sum_k (M f_k)^r)^{1/r} pointwise with the HL maximal function M;
+    r = inf means sup_k.  The M f_k come from one batched ``maximal`` call."""
     fs = list(fs)
     if not fs:
         raise ValueError("vector maximal requires at least one function")
     if not (r > 1 or np.isinf(r)):
         raise ValueError("exponent r must satisfy 1 < r <= inf")
-    stack = np.stack([maximal(f, kind=kind, n=n).values for f in fs])
+    stack = np.stack([m.values for m in maximal(fs, "hl")])
     if np.isinf(r):
         out = stack.max(axis=0)
     else:

@@ -40,7 +40,6 @@ class MultiplierSymbol:
     params: int
     evaluate: object
     declared_class: str
-    order_budget: int = 4
 
     def __post_init__(self):
         if (self.arity, self.params) not in ((1, 1), (2, 1), (2, 2)):
@@ -62,11 +61,11 @@ def symbol_registry() -> dict[str, MultiplierSymbol]:
     def hilbert(t):
         return -1j * np.sign(t)
 
-    def oscillatory(t, gamma=1.0):
+    def oscillatory(t):
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t, dtype=complex)
         nz = t != 0
-        out[nz] = np.exp(1j * gamma * np.log(np.abs(t[nz])))
+        out[nz] = np.exp(1j * np.log(np.abs(t[nz])))
         return out
 
     def mean_remover(t):
@@ -107,12 +106,12 @@ def symbol_registry() -> dict[str, MultiplierSymbol]:
         "ratio_x2": MultiplierSymbol("ratio_x2", 2, 1, ratio_x2, "coifman_meyer"),
         "ratio_xy": MultiplierSymbol("ratio_xy", 2, 1, ratio_xy, "coifman_meyer"),
         "biparameter_product": MultiplierSymbol(
-            "biparameter_product", 2, 2, biparam_product, "biparameter", 8
+            "biparameter_product", 2, 2, biparam_product, "biparameter"
         ),
         "biparameter_constant": MultiplierSymbol(
             "biparameter_constant", 2, 2,
             lambda s1, s2, t1, t2: np.ones(np.broadcast(s1, s2, t1, t2).shape, dtype=complex),
-            "biparameter", 8,
+            "biparameter",
         ),
     }
     return reg
@@ -259,20 +258,17 @@ class SymbolValidation:
 def validate_symbol(
     m: MultiplierSymbol,
     probe_radius: int = 32,
-    max_order: int | None = None,
-    ceiling: float = 1e4,
+    max_order: int = 4,
 ) -> SymbolValidation:
     """Probe the declared derivative bounds by lattice finite differences.
 
-    For each multi-index alpha up to the order budget, the report holds
+    For each multi-index alpha up to ``max_order``, the report holds
     sup |Delta^alpha m| * w(t)^{|alpha|-weights} over the probe region, with
     w per the declared class (|t|, ||t||, or the per-parameter-group norms).
     Stencils touching the symbol's singular set are excluded.
     """
     if probe_radius < 16:
         raise ValueError("probe_radius must be >= 16")
-    if max_order is None:
-        max_order = min(m.order_budget, 4)
     dim = m.lattice_dim
     axes = [np.arange(-probe_radius, probe_radius + 1)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -296,6 +292,7 @@ def validate_symbol(
             constants[alpha] = 0.0
             continue
         constants[alpha] = float(np.max(np.abs(diff[mask]) * weight[mask]))
+    ceiling = 1e4
     passed = all(v <= ceiling for v in constants.values())
     return SymbolValidation(m.name, m.declared_class, probe_radius, constants, ceiling, passed)
 

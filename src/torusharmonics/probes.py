@@ -27,8 +27,6 @@ class NormReport:
     ratios: list[float]
     max_ratio: float
     dual_estimate: float | None = None
-    seed: int | None = None
-    notes: dict = field(default_factory=dict)
 
 
 def probe_norm(
@@ -37,8 +35,6 @@ def probe_norm(
     in_specs,
     out_spec: NormSpec,
     corpus,
-    seed: int | None = None,
-    dualize_weak: bool = True,
 ) -> NormReport:
     """Max over the corpus of norm(T(f..)) / prod(norm(inputs)).
 
@@ -60,7 +56,7 @@ def probe_norm(
         if denom == 0.0:
             continue
         ratios.append(norm(out, out_spec) / denom)
-        if out_spec.kind == "WeakLp" and dualize_weak:
+        if out_spec.kind == "WeakLp":
             est = dual_weak_estimate(out, out_spec.p) / denom
             dual = est if dual is None else max(dual, est)
     return NormReport(
@@ -70,26 +66,26 @@ def probe_norm(
         ratios=ratios,
         max_ratio=float(np.max(ratios)) if ratios else 0.0,
         dual_estimate=dual,
-        seed=seed,
     )
 
 
-def dual_weak_estimate(f: GridFunction, p: float, n_sets: int = 24, seed: int = 7) -> float:
+def dual_weak_estimate(f: GridFunction, p: float) -> float:
     """Weak-Lp size of f through the set-pairing route.
 
     For each trial set E, excise the large-|f| points exactly as the
     dualization prescribes (E' = E minus {|f| > 3^{1/p} A |E|^{-1/p}} for the
     direct quasinorm A) and measure |<f, chi_E'>| / |E|^{1 - 1/p}; the max
     over sets is the dual estimate, comparable to A within 2^{3/2 + 2/p}.
+    The 24 trial sets come from a fixed rng seed.
     """
     a_direct = norm(f, NormSpec.weak(p))
     if a_direct == 0.0:
         return 0.0
     absvals = np.abs(f.values).ravel()
     n = absvals.size
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     candidates = []
-    for _ in range(n_sets):
+    for _ in range(24):
         kind = rng.integers(0, 3)
         if kind == 0:
             width = int(rng.integers(max(1, n // 64), n // 2))
@@ -152,9 +148,13 @@ def khinchine_experiment(
     p_list=(1.0, 4.0),
     samples: int = 100_000,
     seed: int = 0,
-    tail_points=(1.0, 2.0, 3.0),
 ) -> KhinchineReport:
-    """Monte Carlo moments and tails of S = sum a_j r_j over Rademacher draws."""
+    """Monte Carlo moments and tails of S = sum a_j r_j over Rademacher draws.
+
+    The tails P(|S| > t ||a||_2) are taken at t = 1, 2, 3.
+    """
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2 for a standard error, got {samples}")
     a = np.asarray(coefficients, dtype=complex)
     l2 = float(np.sum(np.abs(a) ** 2))
     if not l2 > 0:
@@ -171,7 +171,7 @@ def khinchine_experiment(
     l2_stderr = float(sq.std(ddof=1) / math.sqrt(samples))
     unit = sums / math.sqrt(l2)
     tail_freq, tail_bound, tail_upper = {}, {}, {}
-    for t in tail_points:
+    for t in (1.0, 2.0, 3.0):
         hits = int((np.abs(unit) > t).sum())
         tail_freq[t] = hits / samples
         tail_bound[t] = 4.0 * math.exp(-(t**2) / 4.0)
@@ -202,17 +202,16 @@ class CounterexampleReport:
     details: dict = field(default_factory=dict)
 
 
-def fs_sum_counterexample(n_pieces: int, log_size: int | None = None) -> CounterexampleReport:
+def fs_sum_counterexample(n_pieces: int) -> CounterexampleReport:
     """min_x sum_k M chi_{[(k-1)/n, k/n)}(x) >= log n - 1.
 
-    Evaluated with the exact interval maximal function on a grid where the
-    pieces are sample-aligned, so the classical lower bound is certified.
+    Evaluated with the exact interval maximal function on a grid of
+    max(2^8, n) points, where the pieces are sample-aligned, so the classical
+    lower bound is certified.
     """
-    if n_pieces & (n_pieces - 1):
-        raise ValueError("piece count must be a power of two")
-    log_size = log_size or max(8, n_pieces.bit_length() - 1)
-    if 2**log_size % n_pieces:
-        raise ValueError("grid must resolve the pieces")
+    if n_pieces < 1 or n_pieces & (n_pieces - 1):
+        raise ValueError(f"n_pieces must be a power of two >= 1, got {n_pieces}")
+    log_size = max(8, n_pieces.bit_length() - 1)
     n = 2**log_size
     width = n // n_pieces
     total = np.zeros(n)
@@ -231,25 +230,27 @@ def fs_sum_counterexample(n_pieces: int, log_size: int | None = None) -> Counter
     )
 
 
-def fs_growth_counterexample(
-    depth: int, r: float, log_size: int | None = None
-) -> CounterexampleReport:
+def fs_growth_counterexample(depth: int, r: float) -> CounterexampleReport:
     """(sum_{k<=K} (M chi_{[2^-k-1, 2^-k)})^r)^{1/r} >= K^{1/r}/2 near 0.
 
     Near 0 every M chi_k is 1/2, so the bound is attained.  ``details`` also
     carries the equivalent power form min sum_k (M chi_k)^r >= K 2^-r, whose
-    two sides are exact on the grid (no root is taken).
+    two sides are exact on the grid (no root is taken).  The K bumps live on
+    a grid of 2^(K+3) points and share one batched ``maximal`` call.
     """
-    log_size = log_size or (depth + 3)
-    if depth + 1 > log_size:
-        raise ValueError("grid must resolve the finest piece")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"r must be finite and >= 1, got {r}")
+    log_size = depth + 3
     n = 2**log_size
     x = np.arange(n) / n
-    stack = []
-    for k in range(1, depth + 1):
-        vals = ((x >= 2.0 ** (-k - 1)) & (x < 2.0**-k)).astype(float)
-        stack.append(maximal(GridFunction((log_size,), vals), "hl").values.real)
-    powers = (np.stack(stack) ** r).sum(axis=0)
+    bumps = [
+        GridFunction((log_size,), ((x >= 2.0 ** (-k - 1)) & (x < 2.0**-k)).astype(float))
+        for k in range(1, depth + 1)
+    ]
+    maxima = np.stack([m.values.real for m in maximal(bumps, "hl")])
+    powers = (maxima**r).sum(axis=0)
     window = x < 2.0**-depth
     value = float((powers ** (1.0 / r))[window].min())
     bound = depth ** (1.0 / r) / 2.0
@@ -312,6 +313,10 @@ def strong_maximal_endpoint_probe(corpus: Corpus) -> dict:
     return ratios
 
 
+#: the window (t_lo, t_hi) of (0, 1] on which (Mf)* is compared with f**
+LLOGL_WINDOW = (1.0 / 64, 0.5)
+
+
 @dataclass
 class MaximalZygmundReport:
     norm_ratios: dict[str, float]
@@ -321,15 +326,15 @@ class MaximalZygmundReport:
     profiles: dict = field(default_factory=dict)
 
 
-def llogl_maximal_experiment(
-    corpus: Corpus, t_lo: float = 1.0 / 64, t_hi: float = 0.5, maxima=None
-) -> MaximalZygmundReport:
-    """Compare ||Mf||_1 with the L log L norm and (Mf)* with f** pointwise.
+def llogl_maximal_experiment(corpus: Corpus, maxima=None) -> MaximalZygmundReport:
+    """Compare ||Mf||_1 with the L log L norm and (Mf)* with f** pointwise
+    on ``LLOGL_WINDOW``.
 
     ``maxima`` are the members' ``maximal(f, "hl")`` in member order, when
     the caller has them already; otherwise one batched ``maximal`` call
     computes them here.
     """
+    t_lo, t_hi = LLOGL_WINDOW
     ratios, profiles = {}, {}
     lows, highs = [np.empty(0)], [np.empty(0)]
     if maxima is None:
@@ -353,4 +358,4 @@ def llogl_maximal_experiment(
         float(np.min(np.concatenate(lows), initial=math.inf)),
         float(np.max(np.concatenate(highs), initial=0.0)),
     )
-    return MaximalZygmundReport(ratios, curve_range, {"t_window": (t_lo, t_hi)}, profiles)
+    return MaximalZygmundReport(ratios, curve_range, {"t_window": LLOGL_WINDOW}, profiles)

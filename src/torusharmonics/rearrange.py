@@ -70,10 +70,6 @@ class StepProfile:
         widths = np.diff(np.concatenate([[0.0], self.breakpoints]))
         return float(np.sum(self.values**p * widths) ** (1.0 / p))
 
-    def l1_norm(self) -> float:
-        widths = np.diff(np.concatenate([[0.0], self.breakpoints]))
-        return float(np.sum(self.values * widths))
-
 
 def rearrangement(f: GridFunction) -> StepProfile:
     """Decreasing rearrangement of |f| as an exact step profile.
@@ -241,12 +237,12 @@ def star_curve(profile: StepProfile, order: int) -> _PiecewiseStarCurve:
     return curve
 
 
-def n_star(profile: StepProfile, order: int, grid: int = 4096) -> RearrangementCurve:
-    """f^(*,order) for order >= 2, sampled on a log-spaced grid of (0, 1]."""
+def n_star(profile: StepProfile, order: int) -> RearrangementCurve:
+    """f^(*,order) for order >= 2, sampled at 4096 log-spaced points of [1e-6, 1]."""
     if order < 2:
         raise ValueError("order must be >= 2 (order 1 is the profile itself)")
     curve = star_curve(profile, order)
-    abscissae = np.logspace(-6, 0, grid)
+    abscissae = np.logspace(-6, 0, 4096)
     return RearrangementCurve(order, abscissae, curve.evaluate(abscissae), curve)
 
 
@@ -279,7 +275,7 @@ def zygmund_norm(f, n: int = 1, method: str = "closed_form") -> float:
     if method != "closed_form":
         raise ValueError("method must be 'iterated' or 'closed_form'")
     if n == 0:
-        return profile.l1_norm()
+        return profile.lp_norm(1.0)
     # int_0^t log^n(1/s) ds = t sum_{i<=n} (n!/i!) log^i(1/t) at each
     # breakpoint, the previous breakpoint's value being each piece's lower end
     moment = np.zeros(len(profile.breakpoints))

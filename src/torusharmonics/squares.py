@@ -103,7 +103,7 @@ class EpsilonField:
 EpsilonSequence = EpsilonField2D = EpsilonField
 
 
-def _alpha_offsets(step: int, max_offsets: int = 64) -> np.ndarray:
+def _alpha_offsets(step: int, max_offsets: int) -> np.ndarray:
     """Grid-representable fractional shifts at one scale, stride-subsampled."""
     stride = max(1, step // max_offsets)
     return np.arange(0, step, stride)
@@ -296,12 +296,12 @@ def square_function(
     fam: AdaptedFamily,
     mode: str = "plain",
     n: int = 0,
-    max_offsets: int = 64,
 ) -> GridFunction:
     """Sf(x) = (sum_I |<phi_I., f>|^2 / |I| chi_I(x))^{1/2} over dyadic I.
 
     mode 'shifted' pairs against phi_{I^n}; 'shifted_sup' additionally takes
-    the sup over grid-representable fractional shifts per scale.
+    the sup over grid-representable fractional shifts per scale, at most 64
+    of them (``_alpha_offsets``).
     """
     if not fam.zero_mean:
         raise ValueError("square function requires a zero-mean family")
@@ -311,7 +311,7 @@ def square_function(
         raise ValueError(f"unknown square function mode {mode!r}")
     if mode == "plain":
         n = 0
-    sup_offsets = max_offsets if mode == "shifted_sup" else None
+    sup_offsets = 64 if mode == "shifted_sup" else None
     return GridFunction(f.log_sizes, _envelope(f, (fam,), "S", (n,), sup_offsets))
 
 

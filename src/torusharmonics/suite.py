@@ -39,6 +39,7 @@ from .multipliers import (
 )
 from .paraproducts import ParaproductSpec, paraproduct_1p, paraproduct_2p
 from .probes import (
+    LLOGL_WINDOW,
     fs_growth_counterexample,
     fs_sum_counterexample,
     khinchine_experiment,
@@ -349,7 +350,7 @@ def check_maximal_zygmund(config: RunConfig, ctx: RunContext | None = None) -> C
     # (Mf >= f) supports; the f** ratio's lower end is recorded, its upper end
     # asserted (grid under-approximation of M dents the f** lower end on
     # few-cell features, see the decisions ledger)
-    ts = np.linspace(1.0 / 64, 0.5, 257)
+    ts = np.linspace(*LLOGL_WINDOW, 257)
     star = []
     for pm, pf in rep10.profiles.values():
         with np.errstate(divide="ignore", invalid="ignore"):

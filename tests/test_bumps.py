@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusharmonics import bumps
 from torusharmonics.bumps import (
     AdaptedFamily,
     ConstructionError,
@@ -217,11 +218,21 @@ class TestAdaptedFamilies:
         fam = make_adapted_family("lower_bounded", K, L)
         assert fam.check_zero_mean()
 
+    @pytest.mark.parametrize("kind", ["from_pou_1", "from_pou_2", "lower_bounded"])
+    def test_build_measures_no_decay_constants(self, kind, monkeypatch):
+        # the decay constants are measured on demand, never while building
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_adapted ran while building a family")
+
+        monkeypatch.setattr(bumps, "verify_adapted", refuse)
+        fam = make_adapted_family(kind, 4, 7)
+        assert list(fam.scales) == [1, 2, 3, 4]
+
 
 class TestVerifyAdapted:
     def test_constants_finite_and_stable(self):
-        fam_a = make_adapted_family("from_pou_1", K, L, m_max=6)
-        fam_b = make_adapted_family("from_pou_1", K, L + 1, m_max=6)
+        fam_a = make_adapted_family("from_pou_1", K, L)
+        fam_b = make_adapted_family("from_pou_1", K, L + 1)
         ca = verify_adapted(fam_a, 6)["C"]
         cb = verify_adapted(fam_b, 6)["C"]
         for m in range(1, 7):

@@ -152,6 +152,12 @@ class TestKhinchine:
         with pytest.raises(ValueError):
             khinchine_experiment([0.0, 0.0])
 
+    @pytest.mark.parametrize("samples", [1, 0])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        # one draw has no standard error: l2_stderr would be NaN
+        with pytest.raises(ValueError, match="samples"):
+            khinchine_experiment([1.0, 1.0], samples=samples)
+
 
 def _khinchine_whole_array(coefficients, p_list=(1.0, 4.0), samples=100_000, seed=0,
                            tail_points=(1.0, 2.0, 3.0)):
@@ -217,6 +223,45 @@ class TestCounterexamples:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             fs_sum_counterexample(10)
+
+    @pytest.mark.parametrize("n_pieces", [0, -4])
+    def test_rejects_no_pieces(self, n_pieces):
+        with pytest.raises(ValueError, match="n_pieces"):
+            fs_sum_counterexample(n_pieces)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_growth_rejects_no_depth(self, depth):
+        with pytest.raises(ValueError, match="depth"):
+            fs_growth_counterexample(depth, 2.0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.5, -2.0])
+    def test_growth_rejects_an_exponent_outside_one_to_inf(self, r):
+        with pytest.raises(ValueError, match="r must be"):
+            fs_growth_counterexample(6, r)
+
+    @pytest.mark.parametrize("r", [2.0, 4.0])
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_growth_equals_per_bump_loop(self, depth, r):
+        rep = fs_growth_counterexample(depth, r)
+        value, power_sum = per_bump_growth(depth, r)
+        assert rep.value == value
+        assert rep.details["power_sum"] == power_sum
+        assert rep.details["log_size"] == depth + 3
+
+
+def per_bump_growth(depth, r):
+    """(value, power_sum) of ``fs_growth_counterexample`` from one ``maximal``
+    call per dyadic bump on the grid of 2^(depth+3) points."""
+    log_size = depth + 3
+    n = 2**log_size
+    x = np.arange(n) / n
+    stack = []
+    for k in range(1, depth + 1):
+        vals = ((x >= 2.0 ** (-k - 1)) & (x < 2.0**-k)).astype(float)
+        stack.append(maximal(GridFunction((log_size,), vals), "hl").values.real)
+    powers = (np.stack(stack) ** r).sum(axis=0)
+    window = x < 2.0**-depth
+    return float((powers ** (1.0 / r))[window].min()), float(powers[window].min())
 
 
 def per_piece_curve_range(corpus, t_lo=1.0 / 64, t_hi=0.5):

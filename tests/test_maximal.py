@@ -337,6 +337,17 @@ class TestVectorMaximal:
         out = vector_maximal([f], r=2.0)
         assert np.abs(out.values - maximal(f, "hl").values).max() < 1e-12
 
+    @pytest.mark.parametrize("r", [1.5, 2.0, np.inf])
+    def test_equals_per_function_stack(self, r):
+        # one batched maximal call gives the per-function stack bit for bit
+        rng = np.random.default_rng(18)
+        values = rng.normal(size=(5, N)) + 1j * rng.normal(size=(5, N))
+        values[2, 7] = np.nan
+        fs = [GridFunction((L,), v) for v in values]
+        stack = np.stack([maximal(f, "hl").values for f in fs])
+        want = stack.max(axis=0) if np.isinf(r) else (stack**r).sum(axis=0) ** (1.0 / r)
+        assert np.array_equal(vector_maximal(fs, r=r).values, want, equal_nan=True)
+
     def test_sup_version_bound(self):
         rng = np.random.default_rng(15)
         fs = [GridFunction((L,), rng.normal(size=N)) for _ in range(4)]

@@ -59,3 +59,38 @@ def test_a_moved_value_with_the_same_verdicts(tmp_path, capsys):
     assert code == 1
     assert lines[0] == "failing checks: the same on all 3 seeds"
     assert lines[-1] == "6 differences"
+
+
+NEAR = {
+    "spread": {"passed": False, "gates": [["T_eps draw spread", "<=", 0.25, 0.2524],
+                                          ["far", "<=", 0.25, 0.3111]], "details": {}},
+    "growth": {"passed": True, "gates": [["min sum of powers", ">=", 1.5, 1.5],
+                                         ["negative", "<=", -1.0, -1.015]], "details": {}},
+    "exact": {"passed": True, "gates": [["zero bound", "<=", 0.0, 0.0],
+                                        ["nan", "<=", 1.0, float("nan")],
+                                        ["infinite bound", "<=", float("inf"), float("inf")],
+                                        ["just outside", "<=", 1.0, 0.9799]], "details": {}},
+}
+
+
+def test_near_bound_takes_nonzero_finite_bounds_within_two_percent():
+    seeds = {"1": NEAR, "2": {"exact": NEAR["exact"]}}
+    assert verify_sweep.near_bound(seeds) == {"1": [
+        ("spread", "T_eps draw spread", "<=", 0.25, 0.2524),
+        ("growth", "min sum of powers", ">=", 1.5, 1.5),
+        ("growth", "negative", "<=", -1.0, -1.015),
+    ]}
+
+
+def test_run_prints_the_near_gates_per_seed(tmp_path, capsys, monkeypatch):
+    far_spread = {"passed": True, "gates": [["T_eps draw spread", "<=", 0.25, 0.2]], "details": {}}
+    sweeps = {1: NEAR, 2: {**NEAR, "spread": far_spread}}
+    monkeypatch.setattr(verify_sweep, "sweep_seed", sweeps.__getitem__)
+    verify_sweep.run(range(1, 3), tmp_path / "sweep.json")
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("gates within 2% of a nonzero bound:")
+    assert lines[start + 1:] == [
+        "  seed 1: spread: T_eps draw spread 0.2524 <= 0.25; "
+        "growth: min sum of powers 1.5 >= 1.5; growth: negative -1.015 <= -1",
+        "  seed 2: growth: min sum of powers 1.5 >= 1.5; growth: negative -1.015 <= -1",
+    ]

@@ -8,7 +8,10 @@ Run from the root of a source checkout; the library is imported from its
 script.  ``run`` executes ``verify --grid 9 --grid2d 7`` once per seed and
 writes, per seed and check, the verdict, every gate's observed value and the
 check's details; it prints each check's pass rate and failing seeds, and
-under it each gate's worst observed value and the seed where it occurs.  The
+under it each gate's worst observed value and the seed where it occurs, and
+then, per seed, the gates whose observed value lies within 2 % of a nonzero
+bound: the verdicts a last-ulp change could flip, beside the exact
+identities that sit on their bound by design.  The
 runtime gate, the runtime and the config hash are left out, so two sweeps
 of the same code are equal.  ``diff`` first says whether each seed's set of
 failing checks is the same in both sweeps and names the seeds where it is
@@ -30,6 +33,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GRIDS = ("--grid", "9", "--grid2d", "7")
 RUNTIME_GATE = "runtime_s"
+#: a gate is near its bound when |observed - bound| <= NEAR_SHARE * |bound|
+NEAR_SHARE = 0.02
 
 
 def sweep_seed(seed: int) -> dict:
@@ -64,6 +69,29 @@ def run(seeds: range, out: Path) -> None:
         print(line + (f"; fails on {', '.join(failing)}" if failing else ""))
         for (name, op, bound), (observed, seed) in worst[check].items():
             print(f"  {name} {op} {bound:.6g}: worst {observed:.6g} at seed {seed}")
+    print(f"gates within {NEAR_SHARE:.0%} of a nonzero bound:")
+    for seed, gates in near_bound(result["seeds"]).items():
+        entries = [f"{check}: {name} {observed:.6g} {op} {bound:.6g}"
+                   for check, name, op, bound, observed in gates]
+        print(f"  seed {seed}: {'; '.join(entries)}")
+
+
+def near_bound(seeds: dict) -> dict[str, list[tuple]]:
+    """Per seed, (check, name, op, bound, observed) for every gate whose
+    observed value is within ``NEAR_SHARE`` of its bound; seeds with none
+    are left out.  A zero or infinite bound has no scale and a NaN is no
+    value, so none of them is near."""
+    near = {}
+    for seed, checks in seeds.items():
+        gates = [
+            (check, name, op, bound, observed)
+            for check, entry in checks.items()
+            for name, op, bound, observed in entry["gates"]
+            if 0 < abs(bound) < math.inf and abs(observed - bound) <= NEAR_SHARE * abs(bound)
+        ]
+        if gates:
+            near[seed] = gates
+    return near
 
 
 def worst_observed(seeds: dict) -> dict:
