@@ -6,8 +6,11 @@ one direct lattice sum on any number of axes over the retained band box
 |s_a|, |t_a| <= band: for each frequency s of the first input the whole t
 box is added into a padded spectrum, which is folded onto the grid once; an
 aliasing guard (band <= N/4) keeps every output frequency representable.
-The symbol is evaluated once per slab of s values, a bounded number of
-entries at a time, and the adds keep the order of the per-s loop.
+The s values are taken in slabs: the symbol is called once per slab on a
+sparse grid, the slab's terms fill one buffer of bounded size, and one
+ordered scatter per slab adds them in the order of the per-s loop.  Inputs
+with non-finite samples, a negative band or energy outside the band are
+rejected.
 Symbol smoothness is probed by iterated unit-step finite differences on the
 integer lattice, and the per-scale coefficient tables of the cutoff symbols
 are computed by FFT quadrature on the side-2^k box.
@@ -31,8 +34,13 @@ _CLASSES = ("marcinkiewicz", "coifman_meyer", "biparameter")
 class MultiplierSymbol:
     """A multiplier symbol with its declared smoothness class.
 
-    ``evaluate`` is a vectorized callback on integer arrays: one array for
-    (arity 1, params 1), two for (2, 1), four for (2, 2).
+    ``evaluate`` is a vectorized callback on integer-valued float arrays:
+    one array for (arity 1, params 1), two for (2, 1), four for (2, 2).  The
+    arrays need not share a shape, only broadcast together: the lattice sum
+    passes a sparse grid (first-slot values shaped (S, 1, ...), second-slot
+    values as ``np.meshgrid(..., sparse=True)`` axes), and the callback
+    returns the values on the broadcast shape, or on a shape that
+    broadcasts to it, such as a scalar.
     """
 
     name: str
@@ -128,6 +136,8 @@ def apply_1d(m: MultiplierSymbol, f: GridFunction) -> GridFunction:
 
 def _outside_band(spec: Spectrum, band: int) -> np.ndarray:
     """Mask of the frequencies with |n_axis| > band on some axis."""
+    if band < 0:
+        raise ValueError("band must be >= 0")
     far = [np.abs(spec.frequencies(axis)) > band for axis in range(spec.dims)]
     return functools.reduce(np.logical_or, np.meshgrid(*far, indexing="ij", sparse=True))
 
@@ -141,6 +151,9 @@ def band_limit(f: GridFunction, band: int) -> GridFunction:
 
 
 def _check_band(f: GridFunction, band: int, who: str):
+    bad = np.count_nonzero(~np.isfinite(f.values))
+    if bad:
+        raise ValueError(f"{who}: {bad} of {f.values.size} samples are NaN or infinite")
     spec = fourier_coefficients(f)
     mask = _outside_band(spec, band)
     leak = np.abs(spec.coefficients[mask]).max() if mask.any() else 0.0
@@ -154,11 +167,10 @@ def _check_band(f: GridFunction, band: int, who: str):
 
 def _band_box(spec: Spectrum, band: int) -> np.ndarray:
     """The coefficients at -band..band per axis, frequency ascending."""
-    centered = np.fft.fftshift(spec.coefficients)
-    return centered[tuple(slice(n // 2 - band, n // 2 + band + 1) for n in spec.sizes)]
+    return spec.coefficients[np.ix_(*[np.arange(-band, band + 1) % n for n in spec.sizes])]
 
 
-#: symbol values evaluated at once by ``_lattice_spectrum``; bounds its peak memory
+#: entries of the slab buffer of ``_lattice_spectrum``; bounds its peak memory
 _SLAB = 1 << 16
 
 
@@ -166,27 +178,40 @@ def _lattice_spectrum(m, f: GridFunction, g: GridFunction, band: int) -> np.ndar
     """Coefficients of sum_{s,t} m(s, t) f_hat(s) g_hat(t) e^{2 pi i x.(s+t)} on T^d.
 
     s and t run over the box |s_a|, |t_a| <= band; the inputs must vanish
-    outside it.  For each s of the first slot with f_hat(s) != 0, the whole
-    t box is added into a padded spectrum over |s + t|_a <= 2 band, which is
-    folded onto the grid once at the end, so the (2 band + 1)^{2d} lattice
-    is never formed.  The symbol is called once per slab of such s, at most
-    ``_SLAB`` values per call.
+    outside it.  The first-slot frequencies s with f_hat(s) != 0 are taken
+    in slabs of at most ``_SLAB`` terms (one s's t box when that is larger):
+    the symbol is called once per slab on a sparse grid, the terms
+    (m(s, t) f_hat(s)) g_hat(t) fill one buffer, and one ordered scatter adds
+    them into a padded spectrum over |s + t|_a <= 2 band.  The scatter's
+    indices are s-major, so every output frequency receives its terms in
+    the order of a loop over s, continuing from the earlier slabs.  The
+    padded spectrum is folded onto the grid once at the end, so the
+    (2 band + 1)^{2d} lattice is never formed.
     """
     fbox = _band_box(_check_band(f, band, "first input"), band)
     gbox = _band_box(_check_band(g, band, "second input"), band)
-    t = np.meshgrid(*[np.arange(-band, band + 1)] * f.dims, indexing="ij")
-    padded = np.zeros((4 * band + 1,) * f.dims, dtype=complex)
+    d, width = f.dims, 4 * band + 1
+    t = np.meshgrid(*[np.arange(-band, band + 1)] * d, indexing="ij", sparse=True)
     nonzero = np.argwhere(fbox != 0.0)  # row-major: the order of the adds
+    # flat padded index of s + t: that of s (the box corner) plus that of t
+    s_flat = np.ravel_multi_index(tuple(nonzero.T), (width,) * d)
+    t_flat = np.ravel_multi_index(tuple(np.indices(gbox.shape)), (width,) * d)
     per_slab = max(1, _SLAB // gbox.size)
+    rows = min(per_slab, len(nonzero))
+    terms = np.empty((rows,) + gbox.shape, dtype=complex)
+    index = np.empty((rows,) + gbox.shape, dtype=np.intp)
+    padded = np.zeros(width**d, dtype=complex)
     for first in range(0, len(nonzero), per_slab):
         slab = nonzero[first : first + per_slab]
-        s = [(slab[:, a] - band).reshape((-1,) + (1,) * f.dims) for a in range(f.dims)]
-        values = np.broadcast_to(m(*s, *t), (len(slab),) + gbox.shape)
-        for idx, value in zip(map(tuple, slab.tolist()), values):
-            padded[tuple(slice(i, i + 2 * band + 1) for i in idx)] += value * fbox[idx] * gbox
+        k = len(slab)
+        s = [(slab[:, a] - band).reshape((-1,) + (1,) * d) for a in range(d)]
+        np.multiply(m(*s, *t), fbox[tuple(slab.T)].reshape(s[0].shape), out=terms[:k])
+        np.multiply(terms[:k], gbox, out=terms[:k])
+        np.add(s_flat[first : first + k].reshape(s[0].shape), t_flat, out=index[:k])
+        np.add.at(padded, index[:k].ravel(), terms[:k].ravel())
     out = np.zeros(f.sizes, dtype=complex)
     fold = [np.arange(-2 * band, 2 * band + 1) % n for n in f.sizes]
-    np.add.at(out, np.ix_(*fold), padded)
+    np.add.at(out, np.ix_(*fold), padded.reshape((width,) * d))
     return out
 
 

@@ -1,7 +1,11 @@
+import contextlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torusharmonics.multipliers as multipliers
 from torusharmonics.grid import (
@@ -161,10 +165,15 @@ class TestBiparameter:
 
 
 def per_s_lattice_spectrum(m, f, g, band):
-    """The lattice sum with one symbol call per first-slot frequency s: the
-    loop the slab batching replaced, kept as its oracle."""
-    fbox = multipliers._band_box(fourier_coefficients(f), band)
-    gbox = multipliers._band_box(fourier_coefficients(g), band)
+    """The lattice sum with one symbol call per first-slot frequency s on the
+    full t mesh, the box read from an fftshift copy: the loop the slab
+    scatter replaced, kept as its oracle."""
+
+    def box(h):
+        centered = np.fft.fftshift(multipliers.fourier_coefficients(h).coefficients)
+        return centered[tuple(slice(n // 2 - band, n // 2 + band + 1) for n in h.sizes)]
+
+    fbox, gbox = box(f), box(g)
     t = np.meshgrid(*[np.arange(-band, band + 1)] * f.dims, indexing="ij")
     padded = np.zeros((4 * band + 1,) * f.dims, dtype=complex)
     for idx in itertools.product(range(2 * band + 1), repeat=f.dims):
@@ -177,6 +186,28 @@ def per_s_lattice_spectrum(m, f, g, band):
     fold = [np.arange(-2 * band, 2 * band + 1) % n for n in f.sizes]
     np.add.at(out, np.ix_(*fold), padded)
     return out
+
+
+@contextlib.contextmanager
+def prescribed_spectra(*spectra):
+    """Grid functions whose coefficients, as the lattice sum and its oracle
+    read them, are exactly ``spectra``: an FFT round trip would fill the
+    exact zeros of a box with round-off."""
+    funcs = [inverse_transform(spec) for spec in spectra]
+    table = {id(h): spec for h, spec in zip(funcs, spectra)}
+    real = multipliers.fourier_coefficients
+    with mock.patch.object(
+        multipliers, "fourier_coefficients", lambda h: table[id(h)] if id(h) in table else real(h)
+    ):
+        yield funcs
+
+
+def _box_spectrum(log_size, dims, band, box):
+    """The spectrum with ``box`` at -band..band per axis and zeros elsewhere."""
+    n = 2**log_size
+    coeffs = np.zeros((n,) * dims, dtype=complex)
+    coeffs[np.ix_(*[np.arange(-band, band + 1) % n] * dims)] = box
+    return Spectrum((log_size,) * dims, coeffs)
 
 
 def _band_limited_2d(seed, band, log_size=6):
@@ -225,6 +256,100 @@ class TestSlabbedLatticeSpectrum:
         multipliers._lattice_spectrum(lambda *st: calls.append(1) or symbol(*st), f, g, 8)
         nonzero = int(np.count_nonzero(multipliers._band_box(fourier_coefficients(f), 8)))
         assert len(calls) == -(-nonzero // 7)
+
+
+class TestOrderedScatter:
+    """The sparse symbol grid, the slab buffer and the one ordered scatter
+    per slab give the per-s loop's sum bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2]),
+        st.integers(1, 8),
+        st.sampled_from(["all zero", "single", "random"]),
+        st.sampled_from(["one", "seven", "ragged"]),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_equals_per_s_loop(self, dims, band, pattern, slab, seed, data):
+        rng = np.random.default_rng(seed)
+        side = 2 * band + 1
+        names = ["bilinear_constant", "ratio_x2", "ratio_xy"] if dims == 1 else [
+            "biparameter_product", "biparameter_constant"]
+        name = data.draw(st.sampled_from(names + ["scalar"]))
+        m = (lambda *args: 1.0) if name == "scalar" else REG[name]
+        shape = (side,) * dims
+        fbox = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if pattern == "all zero":
+            fbox[...] = 0.0
+        elif pattern == "single":
+            keep = tuple(rng.integers(0, side, size=dims))
+            single = np.zeros(shape, dtype=complex)
+            single[keep] = fbox[keep]
+            fbox = single
+        else:
+            fbox[rng.random(shape) > data.draw(st.floats(0.0, 1.0))] = 0.0
+        gbox = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # one s per slab, a few s per slab, and a slab the box does not divide
+        slab_size = {"one": 1, "seven": 7, "ragged": 3 * side**dims + 2}[slab]
+        with prescribed_spectra(
+            _box_spectrum(5, dims, band, fbox), _box_spectrum(5, dims, band, gbox)
+        ) as (f, g), mock.patch.object(multipliers, "_SLAB", slab_size):
+            got = multipliers._lattice_spectrum(m, f, g, band)
+            want = per_s_lattice_spectrum(m, f, g, band)
+        assert np.array_equal(got, want)
+
+    def test_terms_reach_each_frequency_in_s_order(self, monkeypatch):
+        # u = 0 gets 2^53 from s = -1, then 1 from s = 0, then -2^53 from
+        # s = 1: in that order 2^53 + 1 rounds to 2^53 and the sum is 0,
+        # while summing the last two first, or in reverse, gives 1.  Two s
+        # per slab put s = 0 and s = 1 in one slab after s = -1.
+        big = 2.0**53
+        band = 2
+        fbox = np.zeros(5, dtype=complex)
+        fbox[[0, 1, 2, 3]] = [1.0, big, 1.0, -big]  # s = -2, -1, 0, 1
+        gbox = np.zeros(5, dtype=complex)
+        gbox[[1, 2, 3]] = 1.0  # t = -1, 0, 1; g_hat(2) = 0, so s = -2 adds 0 at u = 0
+        monkeypatch.setattr(multipliers, "_SLAB", 2 * 5)
+        fspec, gspec = _box_spectrum(5, 1, band, fbox), _box_spectrum(5, 1, band, gbox)
+        with prescribed_spectra(fspec, gspec) as (f, g):
+            got = multipliers._lattice_spectrum(REG["bilinear_constant"], f, g, band)
+            want = per_s_lattice_spectrum(REG["bilinear_constant"], f, g, band)
+        assert np.array_equal(got, want)
+        assert got[0] == 0.0
+        # the reordered sums
+        assert big + (1.0 - big) == 1.0 and (-big + 1.0) + big == 1.0
+
+
+class TestSymbolContract:
+    """The lattice sum calls a symbol on a sparse grid; every registered
+    two-slot symbol gives the full mesh's values there."""
+
+    @pytest.mark.parametrize("name", [name for name, m in REG.items() if m.arity == 2])
+    def test_sparse_grid_values_equal_full_mesh(self, name):
+        m = REG[name]
+        axes = [np.arange(-9, 10) + 3 * a for a in range(m.lattice_dim)]
+        full = m(*np.meshgrid(*axes, indexing="ij"))
+        sparse = m(*np.meshgrid(*axes, indexing="ij", sparse=True))
+        assert np.array_equal(np.broadcast_to(sparse, full.shape), full)
+
+
+class TestBandCheck:
+    def test_non_finite_sample_is_rejected(self):
+        f = _band_limited_2d(40, 8)
+        values = np.array(f.values)
+        values[3, 5] = np.nan
+        with pytest.raises(ValueError, match="first input: 1 of 4096 samples are NaN or infinite"):
+            apply_biparameter(REG["biparameter_product"], GridFunction((6, 6), values), f, band=8)
+
+    def test_negative_band_is_rejected_by_apply_biparameter(self):
+        f = _band_limited_2d(41, 8)
+        with pytest.raises(ValueError, match="band must be >= 0"):
+            apply_biparameter(REG["biparameter_product"], f, f, band=-1)
+
+    def test_negative_band_is_rejected_by_band_limit(self):
+        with pytest.raises(ValueError, match="band must be >= 0"):
+            band_limit(random_band_limited(42, 16), -1)
 
 
 class TestValidate:
