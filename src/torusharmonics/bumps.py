@@ -70,11 +70,14 @@ class PlateauProfile:
         return rise * fall
 
 
-def _spectral_prototype(hat, log_size: int) -> GridFunction:
-    """GridFunction with Fourier coefficients hat(n) on the represented band."""
+def _spectral_prototype(hat, log_size: int) -> tuple[GridFunction, int]:
+    """GridFunction with Fourier coefficients hat(n) on the represented band,
+    and the largest |n| at which hat(n) is nonzero."""
     n = 2**log_size
     freqs = np.fft.fftfreq(n, d=1.0 / n)
-    return inverse_transform(Spectrum((log_size,), hat(freqs)))
+    coeffs = hat(freqs)
+    limit = int(np.abs(freqs[np.asarray(coeffs) != 0]).max(initial=0))
+    return inverse_transform(Spectrum((log_size,), coeffs)), limit
 
 
 @dataclass
@@ -84,8 +87,10 @@ class AdaptedFamily:
     ``prototypes[k]`` is the scale-k prototype psi_k on a grid of 2^L points;
     the member for I at level k, index j is 2^-k psi_k(x - j 2^-k).  The
     optional ``hat`` callback evaluates psi_k's Fourier coefficients exactly
-    from the defining profiles (used by the spectral identity checks).  Each
-    prototype's DFT is kept in ``_bands`` once it is first asked for.
+    from the defining profiles (used by the spectral identity checks).
+    ``limits[k]`` is the largest |n| at which psi_k's DFT can be nonzero, for
+    the scales whose prototype was built in frequency.  Each prototype's DFT
+    is kept in ``_bands`` once it is first asked for.
     """
 
     log_size: int
@@ -94,6 +99,7 @@ class AdaptedFamily:
     label: str = ""
     hat: object = None
     floor: float | None = None
+    limits: dict[int, int] = field(default_factory=dict)
     _bands: dict[int, Band] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -112,18 +118,12 @@ class AdaptedFamily:
         return self.prototypes[k].values
 
     def band(self, k: int) -> Band:
-        """psi_k's DFT, cached.  With a ``hat`` callback (the prototype was
-        built from it) the DFT is kept only on the band where the hat is
-        nonzero, so the FFT's rounding noise elsewhere is dropped; without
-        one it is kept at every frequency."""
+        """psi_k's DFT, cached.  At a scale with a ``limits`` entry (the
+        prototype was built in frequency) the DFT is kept only on |n| <= limit,
+        so the FFT's rounding noise elsewhere is dropped; at any other scale
+        it is kept at every frequency."""
         if k not in self._bands:
-            limit = None
-            if self.hat is not None:
-                n = 2**self.log_size
-                freqs = np.fft.fftfreq(n, d=1.0 / n)
-                support = freqs[np.asarray(self.hat(k, freqs)) != 0]
-                limit = int(np.abs(support).max(initial=0))
-            self._bands[k] = Band.of(self.prototype_values(k), limit)
+            self._bands[k] = Band.of(self.prototype_values(k), self.limits.get(k))
         return self._bands[k]
 
     def member_values(self, interval: DyadicInterval, offset_samples: int = 0) -> np.ndarray:
@@ -170,27 +170,25 @@ def build_pou(scale_count: int, log_size: int):
         profile = PlateauProfile(2.0 ** (k - 5), 2.0 ** (k - 4), 2.0 ** (k - 2), 2.0 ** (k - 1))
         return profile(np.abs(np.asarray(t, dtype=float)))
 
-    fam1 = AdaptedFamily(
-        log_size=log_size,
-        prototypes={
-            k: _spectral_prototype(lambda t, k=k: psi1_hat(k, t), log_size)
-            for k in range(1, scale_count + 1)
-        },
-        zero_mean=True,
-        label="pou1",
-        hat=psi1_hat,
-    )
-    fam2 = AdaptedFamily(
-        log_size=log_size,
-        prototypes={
-            k: _spectral_prototype(lambda t, k=k: psi2_hat(k, t), log_size)
-            for k in range(1, scale_count + 1)
-        },
-        zero_mean=True,
-        label="pou2",
-        hat=psi2_hat,
-    )
+    fam1 = _hat_family(psi1_hat, scale_count, log_size, "pou1")
+    fam2 = _hat_family(psi2_hat, scale_count, log_size, "pou2")
     return fam1, fam2
+
+
+def _hat_family(hat, scale_count: int, log_size: int, label: str) -> AdaptedFamily:
+    """The zero-mean family whose psi_k has Fourier coefficients hat(k, n)."""
+    built = {
+        k: _spectral_prototype(lambda t, k=k: hat(k, t), log_size)
+        for k in range(1, scale_count + 1)
+    }
+    return AdaptedFamily(
+        log_size=log_size,
+        prototypes={k: proto for k, (proto, _) in built.items()},
+        zero_mean=True,
+        label=label,
+        hat=hat,
+        limits={k: limit for k, (_, limit) in built.items()},
+    )
 
 
 @dataclass
@@ -282,7 +280,9 @@ def build_double_pou(scale_count: int, log_size: int) -> DoubleBumpSystem:
     prototypes = {}
     for (a, i), hat in hats.items():
         for k in range(1, scale_count + 1):
-            prototypes[(a, i, k)] = _spectral_prototype(lambda t, k=k, h=hat: h(k, t), log_size)
+            prototypes[(a, i, k)], _ = _spectral_prototype(
+                lambda t, k=k, h=hat: h(k, t), log_size
+            )
     return DoubleBumpSystem(log_size, scale_count, prototypes, hats)
 
 
@@ -390,7 +390,7 @@ def _lower_bounded_attempt(scale_count, log_size, k0, tol):
         t = np.asarray(t, dtype=float) * 2.0**-k
         return 2.0**k0 * (alpha_hat(t * 2.0**k0) - alpha_hat(t * 2.0 ** (k0 + 1)))
 
-    prototypes = {}
+    prototypes, limits = {}, {}
     floor = np.inf
     for k in range(1, scale_count + 1):
         window = slice(0, 2 ** (log_size - k))
@@ -400,9 +400,11 @@ def _lower_bounded_attempt(scale_count, log_size, k0, tol):
             # against a on the base window [0, 2^-k)
             return float(np.min(np.abs(2.0**-k * proto.values[window])))
 
-        proto = _spectral_prototype(lambda t, k=k: theta_hat(k, t), log_size)
+        proto, limits[k] = _spectral_prototype(lambda t, k=k: theta_hat(k, t), log_size)
         if level_floor(proto) <= tol:
+            # built in space: its DFT is kept at every frequency
             proto = _coarse_level_prototype(k, log_size)
+            del limits[k]
         if level_floor(proto) <= tol:
             return None
         prototypes[k] = proto
@@ -413,6 +415,7 @@ def _lower_bounded_attempt(scale_count, log_size, k0, tol):
         zero_mean=True,
         label=f"lower_bounded(k0={k0})",
         floor=floor,
+        limits=limits,
     )
     if not fam.check_zero_mean():
         return None

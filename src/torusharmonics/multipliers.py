@@ -4,8 +4,9 @@ Linear symbols act by coefficient-wise multiplication.  Bilinear operators,
 in one parameter (``apply_bilinear``) and two (``apply_biparameter``), are
 one direct lattice sum on any number of axes over the retained band box
 |s_a|, |t_a| <= band: for each frequency s of the first input the whole t
-box is added into a padded spectrum, which is folded onto the grid once; an
-aliasing guard (band <= N/4) keeps every output frequency representable.
+box is added into a padded spectrum, which is folded onto the grid once and
+inverted on the lines |u_a| <= 2 band it reaches (``transform.pruned_ifft``);
+an aliasing guard (band <= N/4) keeps every output frequency representable.
 The s values are taken in slabs: the symbol is called once per slab on a
 sparse grid, the slab's terms fill one buffer of bounded size, and one
 ordered scatter per slab adds them in the order of the per-s loop.  Inputs
@@ -26,6 +27,7 @@ import numpy as np
 
 from .bumps import PlateauProfile
 from .grid import GridFunction, Spectrum, fourier_coefficients, inverse_transform
+from .transform import pruned_ifft
 
 _CLASSES = ("marcinkiewicz", "coifman_meyer", "biparameter")
 
@@ -129,7 +131,7 @@ def apply_1d(m: MultiplierSymbol, f: GridFunction) -> GridFunction:
     """Lambda_m f: multiply the Fourier coefficients by m(n), m(0) included."""
     if (m.arity, m.params) != (1, 1) or f.dims != 1:
         raise ValueError("apply_1d needs a 1-slot 1-parameter symbol and 1D input")
-    spec = fourier_coefficients(f)
+    spec = fourier_coefficients(_check_finite(f, "apply_1d"))
     freqs = spec.frequencies()
     return inverse_transform(Spectrum(f.log_sizes, m(freqs) * spec.coefficients))
 
@@ -144,17 +146,21 @@ def _outside_band(spec: Spectrum, band: int) -> np.ndarray:
 
 def band_limit(f: GridFunction, band: int) -> GridFunction:
     """Zero all coefficients with any |n_axis| > band."""
-    spec = fourier_coefficients(f)
+    spec = fourier_coefficients(_check_finite(f, "band_limit"))
     coeffs = np.array(spec.coefficients)
     coeffs[_outside_band(spec, band)] = 0.0
     return inverse_transform(Spectrum(f.log_sizes, coeffs))
 
 
-def _check_band(f: GridFunction, band: int, who: str):
+def _check_finite(f: GridFunction, who: str) -> GridFunction:
     bad = np.count_nonzero(~np.isfinite(f.values))
     if bad:
         raise ValueError(f"{who}: {bad} of {f.values.size} samples are NaN or infinite")
-    spec = fourier_coefficients(f)
+    return f
+
+
+def _check_band(f: GridFunction, band: int, who: str):
+    spec = fourier_coefficients(_check_finite(f, who))
     mask = _outside_band(spec, band)
     leak = np.abs(spec.coefficients[mask]).max() if mask.any() else 0.0
     if leak > 1e-12:
@@ -215,6 +221,15 @@ def _lattice_spectrum(m, f: GridFunction, g: GridFunction, band: int) -> np.ndar
     return out
 
 
+def _inverse_within(log_sizes, coefficients: np.ndarray, reach: int) -> GridFunction:
+    """``inverse_transform`` of coefficients that vanish off |u_a| <= reach on
+    every axis: ``pruned_ifft`` inverts the last axis on those lines only."""
+    freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in coefficients.shape[:-1]]
+    lines = [np.flatnonzero(np.abs(u) <= reach) for u in freqs]
+    window = coefficients[np.ix_(*lines)] * coefficients.size
+    return GridFunction(log_sizes, pruned_ifft(window, lines, coefficients.shape))
+
+
 def _check_bilinear(
     m: MultiplierSymbol, f: GridFunction, g: GridFunction, params: int, who: str
 ):
@@ -232,7 +247,7 @@ def apply_bilinear(m: MultiplierSymbol, f: GridFunction, g: GridFunction) -> Gri
     """
     _check_bilinear(m, f, g, 1, "apply_bilinear")
     band = f.sizes[0] // 4
-    return inverse_transform(Spectrum(f.log_sizes, _lattice_spectrum(m, f, g, band)))
+    return _inverse_within(f.log_sizes, _lattice_spectrum(m, f, g, band), 2 * band)
 
 
 def apply_biparameter(
@@ -249,7 +264,7 @@ def apply_biparameter(
         band = min(guard, 32)
     if band > guard:
         raise ValueError(f"band {band} exceeds the aliasing guard {guard}")
-    return inverse_transform(Spectrum(f.log_sizes, _lattice_spectrum(m, f, g, band)))
+    return _inverse_within(f.log_sizes, _lattice_spectrum(m, f, g, band), 2 * band)
 
 
 # --- finite-difference validation -------------------------------------------

@@ -258,6 +258,26 @@ class TestSlabbedLatticeSpectrum:
         assert len(calls) == -(-nonzero // 7)
 
 
+class TestPrunedInverse:
+    """The bilinear output spectrum vanishes off |u_a| <= 2 band; inverting
+    only the lines it reaches gives ``inverse_transform``'s floats."""
+
+    @pytest.mark.parametrize("name", ["bilinear_constant", "ratio_xy"])
+    def test_apply_bilinear(self, name):
+        f, g = random_band_limited(51, N // 4), random_band_limited(52, N // 4)
+        want = inverse_transform(Spectrum(f.log_sizes, multipliers._lattice_spectrum(
+            REG[name], f, g, N // 4)))
+        assert np.array_equal(apply_bilinear(REG[name], f, g).values, want.values)
+
+    @pytest.mark.parametrize("band", [4, 16])  # 16 = N/4: the lines +-2 band meet
+    def test_apply_biparameter(self, band):
+        f, g = _band_limited_2d(53, band), _band_limited_2d(54, band)
+        m = REG["biparameter_product"]
+        want = inverse_transform(Spectrum(f.log_sizes, multipliers._lattice_spectrum(
+            m, f, g, band)))
+        assert np.array_equal(apply_biparameter(m, f, g, band).values, want.values)
+
+
 class TestOrderedScatter:
     """The sparse symbol grid, the slab buffer and the one ordered scatter
     per slab give the per-s loop's sum bit for bit."""
@@ -346,6 +366,17 @@ class TestBandCheck:
         f = _band_limited_2d(41, 8)
         with pytest.raises(ValueError, match="band must be >= 0"):
             apply_biparameter(REG["biparameter_product"], f, f, band=-1)
+
+    @pytest.mark.parametrize("who", ["band_limit", "apply_1d"])
+    def test_non_finite_sample_is_rejected_by_the_linear_maps(self, who):
+        # one NaN of 16 would otherwise spread to all 16 output samples
+        values = np.ones(16)
+        values[3] = np.nan
+        f = GridFunction((4,), values)
+        call = {"band_limit": lambda: band_limit(f, 2),
+                "apply_1d": lambda: apply_1d(REG["hilbert"], f)}[who]
+        with pytest.raises(ValueError, match=f"{who}: 1 of 16 samples are NaN or infinite"):
+            call()
 
     def test_negative_band_is_rejected_by_band_limit(self):
         with pytest.raises(ValueError, match="band must be >= 0"):

@@ -264,23 +264,29 @@ class TestHybrid:
         assert np.abs(ss - np.sqrt(total)).max() <= 1e-12 * np.abs(ss).max()
 
     def test_each_scale_pair_inverts_only_its_lattice(self, fam2d, monkeypatch):
-        # one forward FFT of the 256^2 input, then per nonzero scale pair an
+        # one forward FFT of the 256^2 input, axis by axis: the last axis over
+        # every line, then axis 0 over the 15 frequencies that the bands of
+        # from_pou_1 at K = 5 reach on axis 1; then per nonzero scale pair an
         # inverse FFT of the 2^k1 x 2^k2 lattice the dyadic boxes start on,
         # N/s points per axis instead of N
         rng = np.random.default_rng(23)
         f = GridFunction((8, 8), rng.normal(size=(256, 256)))
-        shapes = {"fftn": [], "ifftn": []}
+        for k in fam2d.scales:
+            fam2d.band(k)  # cached before counting: no prototype FFT below
+        shapes = {"fft": [], "fftn": [], "ifftn": []}
         for name, seen in shapes.items():
             def counted(*args, _transform=getattr(np.fft, name), _seen=seen, **kwargs):
-                out = _transform(*args, **kwargs)
-                _seen.append(out.shape)
-                return out
+                _seen.append((args[0].shape, kwargs.get("axis")))
+                return _transform(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
         hybrid(f, (fam2d, fam2d), "SS")
         monkeypatch.undo()
-        assert shapes["fftn"] == [(256, 256)]
-        assert shapes["ifftn"] == [(2**k1, 2**k2) for k1 in (3, 4, 5) for k2 in (3, 4, 5)]
+        assert shapes["fft"] == [((256, 256), 1), ((256, 15), 0)]
+        assert shapes["fftn"] == []
+        assert [shape for shape, _ in shapes["ifftn"]] == [
+            (2**k1, 2**k2) for k1 in (3, 4, 5) for k2 in (3, 4, 5)
+        ]
 
     def test_axis_without_nonzero_scale_gives_zeros(self):
         # from_pou_1 at K = 2 has no nonzero prototype

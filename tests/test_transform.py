@@ -12,6 +12,8 @@ from torusharmonics.paraproducts import ParaproductSpec, paraproduct_2p
 from torusharmonics.squares import EpsilonField2D, _lattice, coefficient_field
 from torusharmonics.transform import Band, analysis, synthesis
 
+import transform_oracles
+
 KINDS = ("from_pou_1", "from_pou_2", "lower_bounded")
 
 
@@ -221,7 +223,9 @@ def test_cached_band_drops_only_rounding_noise(kind):
         assert np.abs(cut - full).max() <= 1e-12 * max(np.abs(full).max(), 1e-300)
     widths = [fam.band(k).values.size for k in fam.scales]
     if kind == "lower_bounded":
-        assert widths == [2**L] * len(widths)
+        # the space-built coarse prototypes keep every bin; the finer ones
+        # are cut where theta_hat vanishes
+        assert widths == [2**L, 2**L, 3, 7, 15, 31]
     else:
         assert max(widths) < 2**L // 4
     assert fam.band(3) is fam.band(3)
@@ -276,3 +280,62 @@ def test_batched_synthesis_equals_separate_calls(log_sizes, batch, seed):
     for entry in np.ndindex(batch):
         want = synthesis((train[entry] for train in trains), prototypes)
         assert np.array_equal(got[entry], want)
+
+
+# --- the axis-pruned transforms against one-call fftn / ifftn ----------------
+
+WINDOWS = ("off_centre", "wraps_past_0", "full_axis", "one_bin")
+
+
+def _window_band(kind, n, rng):
+    """A random complex band of an axis of n samples, by window kind."""
+    if kind == "off_centre":  # inside 1..n-1, on one side of 0
+        lo = int(rng.integers(1, n))
+        width = int(rng.integers(1, n - lo + 1))
+    elif kind == "wraps_past_0":  # from a negative frequency to 0 or beyond
+        lo = -int(rng.integers(1, n))
+        width = int(rng.integers(-lo + 1, n + 1))
+    elif kind == "full_axis":
+        lo, width = int(rng.integers(-n, n)), n
+    else:
+        lo, width = int(rng.integers(-n, n)), 1
+    return Band(n, lo, rng.normal(size=width) + 1j * rng.normal(size=width))
+
+
+@st.composite
+def pruned_cases(draw):
+    """2 or 3 axes, 1-3 scales per axis with a window kind, a read lattice
+    (s, o) per axis and scale, a synthesis batch shape and a seed."""
+    dims = draw(st.integers(2, 3))
+    top = {2: 6, 3: 4}[dims]
+    log_sizes = draw(st.lists(st.integers(2, top), min_size=dims, max_size=dims))
+    kinds, spacings, offsets = [], [], []
+    for L in log_sizes:
+        count = draw(st.integers(1, 3))
+        kinds.append(draw(st.lists(st.sampled_from(WINDOWS), min_size=count, max_size=count)))
+        spacings.append([2 ** draw(st.integers(0, L)) for _ in range(count)])
+        offsets.append([draw(st.integers(0, 2**L - 1)) for _ in range(count)])
+    batch = draw(st.sampled_from([(), (1,), (2, 2)]))
+    return log_sizes, kinds, spacings, offsets, batch, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pruned_cases())
+def test_pruned_transforms_equal_the_one_call_fftn_forms(case):
+    # bit for bit: each axis is transformed in ifftn's and fftn's order, and
+    # a line no band reaches is all zeros, so dropping it changes no float
+    log_sizes, kinds, spacings, offsets, batch, seed = case
+    rng = np.random.default_rng(seed)
+    shape = tuple(2**L for L in log_sizes)
+    prototypes = [[_window_band(k, n, rng) for k in axis] for axis, n in zip(kinds, shape)]
+    f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = analysis(f, prototypes, spacings, offsets)
+    want = transform_oracles.analysis(f, prototypes, spacings, offsets)
+    for lags, oracle in zip(got, want, strict=True):
+        assert np.array_equal(lags, oracle)
+    trains = []
+    for ix in itertools.product(*(range(len(axis)) for axis in prototypes)):
+        lattice = [n // axis[i] for n, axis, i in zip(shape, spacings, ix)]
+        trains.append(rng.normal(size=(*batch, *lattice, 2)) @ np.array([1.0, 1j]))
+    out = synthesis(iter(trains), prototypes)
+    assert np.array_equal(out, transform_oracles.synthesis(iter(trains), prototypes))

@@ -1,8 +1,13 @@
-"""``tools/verify_sweep.py diff`` on two synthetic sweeps."""
+"""``tools/verify_sweep.py``: ``diff`` on synthetic sweeps, ``run`` in one or two jobs."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "verify_sweep.py"
 spec = importlib.util.spec_from_file_location("verify_sweep", TOOL)
@@ -94,3 +99,23 @@ def test_run_prints_the_near_gates_per_seed(tmp_path, capsys, monkeypatch):
         "growth: min sum of powers 1.5 >= 1.5; growth: negative -1.015 <= -1",
         "  seed 2: growth: min sum of powers 1.5 >= 1.5; growth: negative -1.015 <= -1",
     ]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="--jobs 2 needs two cores")
+def test_two_jobs_write_the_same_sweep_as_one(tmp_path):
+    # two real verify runs per side; the seeds come back in seed order
+    outs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}.json"
+        argv = ["run", "--seeds", "21", "22", "--jobs", str(jobs), "--out", str(out)]
+        subprocess.run([sys.executable, str(TOOL), *argv], check=True, capture_output=True)
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+    assert list(json.loads(outs[0])["seeds"]) == ["21", "22"]
+
+
+def test_jobs_above_the_core_count_are_refused(capsys):
+    cores = len(os.sched_getaffinity(0))
+    with pytest.raises(SystemExit):
+        verify_sweep.main(["run", "--seeds", "1", "1", "--jobs", str(cores + 1), "--out", "x"])
+    assert "--jobs must be between 1 and the core count" in capsys.readouterr().err

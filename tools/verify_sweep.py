@@ -1,13 +1,14 @@
 """Run ``torusharmonics verify`` over a range of seeds, or diff two such sweeps.
 
-    python3 tools/verify_sweep.py run --seeds 1 60 --out sweep.json
+    python3 tools/verify_sweep.py run --seeds 1 60 --jobs 2 --out sweep.json
     python3 tools/verify_sweep.py diff parent.json change.json
 
 Run from the root of a source checkout; the library is imported from its
 ``src/``, so a sweep of another checkout runs that checkout's copy of this
-script.  ``run`` executes ``verify --grid 9 --grid2d 7`` once per seed and
-writes, per seed and check, the verdict, every gate's observed value and the
-check's details; it prints each check's pass rate and failing seeds, and
+script.  ``run`` executes ``verify --grid 9 --grid2d 7`` once per seed, in
+``--jobs`` worker processes (at most one per core; 1 runs in this process),
+and writes, per seed and check, the verdict, every gate's observed value and
+the check's details; it prints each check's pass rate and failing seeds, and
 under it each gate's worst observed value and the seed where it occurs, and
 then, per seed, the gates whose observed value lies within 2 % of a nonzero
 bound: the verdicts a last-ulp change could flip, beside the exact
@@ -26,8 +27,11 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
+import os
 import sys
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,11 +60,15 @@ def sweep_seed(seed: int) -> dict:
     return checks
 
 
-def run(seeds: range, out: Path) -> None:
+def run(seeds: range, out: Path, jobs: int = 1) -> None:
     sys.path.insert(0, str(ROOT / "src"))
-    result = {"grids": list(GRIDS), "seeds": {}}
-    for seed in seeds:
-        result["seeds"][str(seed)] = sweep_seed(seed)
+    if jobs > 1:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(jobs, mp_context=spawn) as pool:
+            sweeps = list(pool.map(sweep_seed, seeds))  # in seed order
+    else:
+        sweeps = [sweep_seed(seed) for seed in seeds]
+    result = {"grids": list(GRIDS), "seeds": dict(zip(map(str, seeds), sweeps))}
     out.write_text(json.dumps(result, indent=1, sort_keys=True))
     worst = worst_observed(result["seeds"])
     for check in result["seeds"][str(seeds[0])]:
@@ -168,13 +176,18 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="sweep verify over the seeds FIRST..LAST")
     p_run.add_argument("--seeds", nargs=2, type=int, metavar=("FIRST", "LAST"), required=True)
+    p_run.add_argument("--jobs", type=int, default=1, metavar="J",
+                       help="worker processes, 1 to the core count (default 1)")
     p_run.add_argument("--out", type=Path, required=True)
     p_diff = sub.add_parser("diff", help="compare two sweeps, ignoring runtimes")
     p_diff.add_argument("a", type=Path)
     p_diff.add_argument("b", type=Path)
     args = parser.parse_args(argv)
     if args.command == "run":
-        run(range(args.seeds[0], args.seeds[1] + 1), args.out)
+        cores = len(os.sched_getaffinity(0))
+        if not 1 <= args.jobs <= cores:
+            parser.error(f"--jobs must be between 1 and the core count {cores}")
+        run(range(args.seeds[0], args.seeds[1] + 1), args.out, args.jobs)
         return 0
     return diff(args.a, args.b)
 
