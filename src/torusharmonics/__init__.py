@@ -66,7 +66,6 @@ from .multipliers import (
 )
 from .paraproducts import ParaproductSpec, paraproduct_1p, paraproduct_2p
 from .probes import (
-    dual_weak_estimate,
     fs_growth_counterexample,
     fs_sum_counterexample,
     khinchine_experiment,

@@ -143,6 +143,21 @@ class AdaptedFamily:
         return all(abs(p.mean()) <= 1e-12 for p in self.prototypes.values())
 
 
+#: the low-pass profile whose dyadic differences give psi^1
+_ALPHA_HAT = PlateauProfile(-0.25, -0.125, 0.125, 0.25)
+
+
+def _psi1_hat(k, t):
+    t = np.asarray(t, dtype=float)
+    return _ALPHA_HAT(t * 2.0**-k) - _ALPHA_HAT(t * 2.0 ** (-k + 1))
+
+
+def _psi2_hat(k, t):
+    # even plateau: 1 on [2^(k-4), 2^(k-2)], 0 outside [2^(k-5), 2^(k-1)]
+    profile = PlateauProfile(2.0 ** (k - 5), 2.0 ** (k - 4), 2.0 ** (k - 2), 2.0 ** (k - 1))
+    return profile(np.abs(np.asarray(t, dtype=float)))
+
+
 def build_pou(scale_count: int, log_size: int):
     """Frequency-side partition of unity (psi^1_k, psi^2_k), k = 1..scale_count.
 
@@ -154,25 +169,18 @@ def build_pou(scale_count: int, log_size: int):
     with supp(psi1_hat_k) inside the annulus [2^(k-4), 2^(k-2)] (and mirror)
     and psi2_hat_k an even plateau equal to 1 there, supported away from 0.
     """
+    return _pou_family(1, scale_count, log_size), _pou_family(2, scale_count, log_size)
+
+
+def _pou_family(which: int, scale_count: int, log_size: int) -> AdaptedFamily:
+    """The psi^1 (which = 1) or psi^2 (which = 2) family of ``build_pou``."""
     if scale_count > log_size - SCALE_MARGIN:
         raise ValueError(
             f"scale count {scale_count} too large for grid 2^{log_size} "
             f"(max {log_size - SCALE_MARGIN})"
         )
-    alpha_hat = PlateauProfile(-0.25, -0.125, 0.125, 0.25)
-
-    def psi1_hat(k, t):
-        t = np.asarray(t, dtype=float)
-        return alpha_hat(t * 2.0**-k) - alpha_hat(t * 2.0 ** (-k + 1))
-
-    def psi2_hat(k, t):
-        # even plateau: 1 on [2^(k-4), 2^(k-2)], 0 outside [2^(k-5), 2^(k-1)]
-        profile = PlateauProfile(2.0 ** (k - 5), 2.0 ** (k - 4), 2.0 ** (k - 2), 2.0 ** (k - 1))
-        return profile(np.abs(np.asarray(t, dtype=float)))
-
-    fam1 = _hat_family(psi1_hat, scale_count, log_size, "pou1")
-    fam2 = _hat_family(psi2_hat, scale_count, log_size, "pou2")
-    return fam1, fam2
+    hat = _psi1_hat if which == 1 else _psi2_hat
+    return _hat_family(hat, scale_count, log_size, f"pou{which}")
 
 
 def _hat_family(hat, scale_count: int, log_size: int, label: str) -> AdaptedFamily:
@@ -354,9 +362,9 @@ def make_adapted_family(kind: str, scale_count: int, log_size: int) -> AdaptedFa
     Its decay constants are measured on demand by ``verify_adapted``.
     """
     if kind == "from_pou_1":
-        return build_pou(scale_count, log_size)[0]
+        return _pou_family(1, scale_count, log_size)
     if kind == "from_pou_2":
-        return build_pou(scale_count, log_size)[1]
+        return _pou_family(2, scale_count, log_size)
     if kind == "lower_bounded":
         return _lower_bounded_family(scale_count, log_size)
     raise ValueError(f"unknown family kind {kind!r}")

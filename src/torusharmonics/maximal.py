@@ -15,15 +15,16 @@ around the torus from its right half to its left half.  The shifted
 operators keep one pass per width; the sup over fractional shifts fuses its
 two sliding maxima into one window of min(w+1, N) + w - 1 cells, the global
 max once that window wraps the torus.  Every cyclic sliding max doubles its
-window on the wrapped array, O(N log w) exact maxima.  The 1D kernels run
-along the last axis and treat every leading row on its own, so ``maximal``
-stacks a list of functions into one call.  The strong maximal
-function restricts to rectangles with power-of-two side lengths at
-arbitrary offsets (any rectangle is contained in one of that class with at
-most 4x the area); sliding maxima are separable and commute with pointwise
-max, so the axis-0 cover runs once per row width on the max over all column
-widths.  The adapted maximal function reads the pairings <phi_I, f> off the
-coefficient transform through the one-parameter 'M' aggregate of the hybrids.
+window on the wrapped array, O(N log w) exact maxima.  Every kernel treats
+each leading row on its own, so ``maximal`` runs one function as a batch of
+one and stacks a list of functions into one call.  The strong maximal
+function on T^d restricts to boxes with power-of-two side lengths at
+arbitrary offsets (any box is contained in one of that class with at most
+2^d times the volume); sliding maxima are separable and commute with
+pointwise max, so each axis's cover runs once per width of that axis on the
+max over all widths of the later axes.  The adapted maximal function reads
+the pairings <phi_I, f> off the coefficient transform through the
+one-parameter 'M' aggregate of the hybrids.
 """
 
 from __future__ import annotations
@@ -87,9 +88,12 @@ def _shifted_widths(absvals: np.ndarray, shift: int, sup_shift: bool) -> np.ndar
         if window >= n:
             best = np.maximum(best, means.max(axis=-1, keepdims=True))
             continue
-        # the sliding max commutes with the roll by -shift * w
+        # the sliding max commutes with the roll by -shift * w; best takes
+        # the max with the rolled cover in place, two slices, no rolled copy
         cover = _sliding_max(means, window)
-        best = np.maximum(best, np.roll(cover, w - 1 - shift * w, axis=-1))
+        s = (w - 1 - shift * w) % n
+        np.maximum(best[..., s:], cover[..., : n - s], out=best[..., s:])
+        np.maximum(best[..., :s], cover[..., n - s :], out=best[..., :s])
     return best
 
 
@@ -199,30 +203,27 @@ def _pow2_widths(n: int):
         w *= 2
 
 
-def _strong_2d(absvals: np.ndarray) -> np.ndarray:
-    """Sup of rectangle averages, power-of-two side lengths, any offset.
+def _strong(absvals: np.ndarray, dims: int) -> np.ndarray:
+    """Sup of box averages over the trailing ``dims`` axes, power-of-two side
+    lengths, any offset.
 
-    Per row width w1 the column-width covers are maxed first; the axis-0
-    sliding max and roll then run once on that max, which is exact because
-    they commute with pointwise max and with a roll along axis 1.
+    Per width w of the first of those axes the window means along it are
+    formed first, and the covers of the later axes are maxed over all their
+    widths; this axis's sliding max and roll then run once on that max, which
+    is exact because they commute with pointwise max and with a roll along
+    any other axis.
     """
-    n0, n1 = absvals.shape
-    col_csum = _doubled_csum(absvals.T)
-    best = np.full(absvals.shape, -np.inf)
-    for w1 in _pow2_widths(n0):
-        rows = ((col_csum[:, w1 : w1 + n0] - col_csum[:, :n0]) / w1).T
-        row_csum = _doubled_csum(rows)
-        covers = np.full(absvals.shape, -np.inf)
-        for w2 in _pow2_widths(n1):
-            means = (row_csum[:, w2 : w2 + n1] - row_csum[:, :n1]) / w2
-            covers = np.maximum(covers, np.roll(_sliding_max(means, w2), w2 - 1, axis=1))
-        cover = _sliding_max(covers.T, w1).T
-        best = np.maximum(best, np.roll(cover, w1 - 1, axis=0))
-    return best
-
-
-#: the kinds that run along the last axis of a 1D input or of a stacked batch
-_KERNELS_1D = ("hl", "dyadic", "shifted", "shifted_sup")
+    if dims == 0:
+        return absvals
+    lead = np.moveaxis(absvals, -dims, -1)
+    n = lead.shape[-1]
+    csum = _doubled_csum(lead)
+    best = np.full(lead.shape, -np.inf)
+    for w in _pow2_widths(n):
+        means = np.moveaxis((csum[..., w : w + n] - csum[..., :n]) / w, -1, -dims)
+        covers = np.moveaxis(_strong(means, dims - 1), -dims, -1)
+        best = np.maximum(best, np.roll(_sliding_max(covers, w), w - 1, axis=-1))
+    return np.moveaxis(best, -1, -dims)
 
 
 def maximal(
@@ -231,14 +232,15 @@ def maximal(
     """Maximal function of |f|, for one grid function or a list of them.
 
     kind: 'hl' (all grid intervals), 'dyadic', 'shifted' (uses ``n``),
-    'shifted_sup' (sup over fractional shifts too), 'strong' (2D),
-    'directional' (1D operator along ``axis`` of a 2D input).
+    'shifted_sup' (sup over fractional shifts too), all on 1D input;
+    'strong' (boxes on T^d) and 'directional' (the 'hl' operator along
+    ``axis``), on input of two or more dimensions.
 
-    The 1D kinds also take a list of same-size 1D functions and return the
-    list of their maximal functions, in input order.  The list is stacked
-    into one kernel call along a leading axis, and every kernel treats each
-    row on its own, so each output equals the single-function call bit for
-    bit.  'strong' and 'directional' take one function only.
+    Every kind also takes a list of functions of one grid size and returns
+    the list of their maximal functions, in input order.  The list is
+    stacked into one kernel call along a leading axis (one function is a
+    batch of one), and every kernel treats each row on its own, so each
+    output equals the single-function call bit for bit.
 
     'dyadic' propagates a NaN sample only within the dyadic blocks that hold
     it: the output is NaN on the half of the torus (the level-1 block) that
@@ -246,8 +248,6 @@ def maximal(
     """
     batch = isinstance(f, (list, tuple))
     if batch:
-        if kind not in _KERNELS_1D:
-            raise ValueError(f"kind {kind!r} does not take a list of grid functions")
         if not f:
             raise ValueError("maximal of an empty list")
         if any(g.log_sizes != f[0].log_sizes for g in f):
@@ -255,29 +255,30 @@ def maximal(
         log_sizes = f[0].log_sizes
         values = np.stack([g.values for g in f])
     else:
-        log_sizes, values = f.log_sizes, f.values
+        log_sizes, values = f.log_sizes, f.values[None]
+    dims = len(log_sizes)
+    if kind not in ("hl", "dyadic", "shifted", "shifted_sup", "strong", "directional"):
+        raise ValueError(f"unknown maximal kind {kind!r}")
+    if kind in ("strong", "directional"):
+        if dims < 2:
+            raise ValueError(f"kind {kind!r} requires a grid function of 2 or more dimensions")
+    elif dims != 1:
+        raise ValueError(f"kind {kind!r} requires a 1D grid function")
     absvals = np.abs(values)
-    if kind in _KERNELS_1D:
-        if len(log_sizes) != 1:
-            raise ValueError(f"kind {kind!r} requires a 1D grid function")
-        if kind == "hl":
-            out = _hl_runs(absvals)
-        elif kind == "dyadic":
-            out = _dyadic_axis(absvals)
-        else:
-            out = _shifted_widths(absvals, n, kind == "shifted_sup")
-        if batch:
-            return [GridFunction(log_sizes, row) for row in out]
-        return GridFunction(log_sizes, out)
-    if f.dims != 2:
-        raise ValueError(f"kind {kind!r} requires a 2D grid function")
-    if kind == "strong":
-        return GridFunction(f.log_sizes, _strong_2d(absvals))
-    if kind == "directional":
-        if axis == 0:
-            return GridFunction(f.log_sizes, _hl_runs(absvals.T).T)
-        return GridFunction(f.log_sizes, _hl_runs(absvals))
-    raise ValueError(f"unknown maximal kind {kind!r}")
+    if kind == "hl":
+        out = _hl_runs(absvals)
+    elif kind == "dyadic":
+        out = _dyadic_axis(absvals)
+    elif kind == "strong":
+        out = _strong(absvals, dims)
+    elif kind == "directional":
+        if not 0 <= axis < dims:
+            raise ValueError(f"axis {axis} is not an axis of a {dims}D grid function")
+        out = np.moveaxis(_hl_runs(np.moveaxis(absvals, axis + 1, -1)), -1, axis + 1)
+    else:
+        out = _shifted_widths(absvals, n, kind == "shifted_sup")
+    maxima = [GridFunction(log_sizes, row) for row in out]
+    return maxima if batch else maxima[0]
 
 
 def adapted_maximal(f: GridFunction, fam: AdaptedFamily) -> GridFunction:

@@ -1,9 +1,9 @@
 """Empirical operator-norm probes and the quantitative counterexamples.
 
 Empirical constants are regression anchors: the probes report maxima of norm
-ratios over a deterministic corpus, weak-type quasinorms both directly and
-through the set-pairing dualization, and the two classical vector-maximal
-lower-bound constructions evaluated with the exact maximal function.
+ratios over a deterministic corpus (weak-type outputs measured by their exact
+quasinorm on the grid), and the two classical vector-maximal lower-bound
+constructions evaluated with the exact maximal function.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class NormReport:
     out_spec: NormSpec
     ratios: list[float]
     max_ratio: float
-    dual_estimate: float | None = None
 
 
 def probe_norm(
@@ -39,12 +38,9 @@ def probe_norm(
     """Max over the corpus of norm(T(f..)) / prod(norm(inputs)).
 
     ``corpus`` yields single functions (unary operators) or input tuples.
-    For weak output specs a second estimate runs the set-pairing dualization
-    and both figures are reported.
     """
     in_specs = tuple(in_specs)
     ratios = []
-    dual = None
     for item in corpus:
         inputs = item if isinstance(item, tuple) else (item,)
         if len(inputs) != len(in_specs):
@@ -56,60 +52,13 @@ def probe_norm(
         if denom == 0.0:
             continue
         ratios.append(norm(out, out_spec) / denom)
-        if out_spec.kind == "WeakLp":
-            est = dual_weak_estimate(out, out_spec.p) / denom
-            dual = est if dual is None else max(dual, est)
     return NormReport(
         operator=name,
         in_specs=in_specs,
         out_spec=out_spec,
         ratios=ratios,
         max_ratio=float(np.max(ratios)) if ratios else 0.0,
-        dual_estimate=dual,
     )
-
-
-def dual_weak_estimate(f: GridFunction, p: float) -> float:
-    """Weak-Lp size of f through the set-pairing route.
-
-    For each trial set E, excise the large-|f| points exactly as the
-    dualization prescribes (E' = E minus {|f| > 3^{1/p} A |E|^{-1/p}} for the
-    direct quasinorm A) and measure |<f, chi_E'>| / |E|^{1 - 1/p}; the max
-    over sets is the dual estimate, comparable to A within 2^{3/2 + 2/p}.
-    The 24 trial sets come from a fixed rng seed.
-    """
-    a_direct = norm(f, NormSpec.weak(p))
-    if a_direct == 0.0:
-        return 0.0
-    absvals = np.abs(f.values).ravel()
-    n = absvals.size
-    rng = np.random.default_rng(7)
-    candidates = []
-    for _ in range(24):
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            width = int(rng.integers(max(1, n // 64), n // 2))
-            start = int(rng.integers(0, n))
-            mask = np.zeros(n, dtype=bool)
-            idx = (start + np.arange(width)) % n
-            mask[idx] = True
-        elif kind == 1:
-            mask = rng.uniform(size=n) < rng.uniform(0.05, 0.9)
-        else:
-            lam = float(rng.choice(np.unique(absvals)))
-            mask = absvals >= lam
-        if not mask.any():
-            continue
-        candidates.append(mask)
-    best = 0.0
-    flat = f.values.ravel()
-    for mask in candidates:
-        measure = mask.mean()
-        cutoff = 3.0 ** (1.0 / p) * a_direct * measure ** (-1.0 / p)
-        keep = mask & (absvals <= cutoff)
-        pairing = abs(flat[keep].sum()) / n
-        best = max(best, pairing / measure ** (1.0 - 1.0 / p))
-    return best
 
 
 @dataclass

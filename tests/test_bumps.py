@@ -228,6 +228,26 @@ class TestAdaptedFamilies:
         fam = make_adapted_family(kind, 4, 7)
         assert list(fam.scales) == [1, 2, 3, 4]
 
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_pou_family_builds_only_itself(self, which, pou, monkeypatch):
+        calls = []
+        spectral_prototype = bumps._spectral_prototype
+
+        def counted(*args):
+            calls.append(args)
+            return spectral_prototype(*args)
+
+        monkeypatch.setattr(bumps, "_spectral_prototype", counted)
+        fam = make_adapted_family(f"from_pou_{which}", K, L)
+        assert len(calls) == K
+        want = pou[which - 1]
+        assert fam.label == want.label and fam.limits == want.limits
+        assert fam.prototypes.keys() == want.prototypes.keys()
+        for k in fam.scales:
+            assert np.array_equal(fam.prototype_values(k), want.prototype_values(k))
+            assert (fam.band(k).size, fam.band(k).lo) == (want.band(k).size, want.band(k).lo)
+            assert np.array_equal(fam.band(k).values, want.band(k).values)
+
 
 class TestVerifyAdapted:
     def test_constants_finite_and_stable(self):

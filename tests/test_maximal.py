@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from torusharmonics.maximal import (
     _hl_runs,
     _shifted_widths,
     _sliding_max,
-    _strong_2d,
+    _strong,
     adapted_maximal,
     cz_cover,
     cz_decompose,
@@ -591,7 +592,75 @@ class TestStrongKernel:
         rng = np.random.default_rng(seed)
         vals = rng.lognormal(sigma=2.0, size=(2**log0, 2**log1))
         vals.reshape(-1)[rng.integers(0, vals.size, size=n_nan)] = np.nan
-        assert np.array_equal(_strong_2d(vals), strong_pairs_loop(vals), equal_nan=True)
+        assert np.array_equal(_strong(vals, 2), strong_pairs_loop(vals), equal_nan=True)
+
+
+def pow2_box_sweep(absvals):
+    """Brute-force strong maximal on T^d: at each cell, the max of the means
+    over every box with power-of-two side lengths that contains it, each
+    mean and each cover summed from rolls one cell at a time."""
+    best = np.full(absvals.shape, -np.inf)
+    pow2 = [[1 << j for j in range(n.bit_length())] for n in absvals.shape]
+    for widths in itertools.product(*pow2):
+        offsets = list(itertools.product(*(range(w) for w in widths)))
+        total = sum(np.roll(absvals, [-o for o in off], axis=range(absvals.ndim)) for off in offsets)
+        means = total / np.prod(widths)
+        for off in offsets:
+            best = np.maximum(best, np.roll(means, off, axis=range(absvals.ndim)))
+    return best
+
+
+def point_mass(shape):
+    """A unit mass at the origin: the cell count there, 0 elsewhere."""
+    vals = np.zeros(shape)
+    vals[(0,) * len(shape)] = float(np.prod(shape))
+    return vals
+
+
+def strong_point_mass(shape):
+    """The strong maximal of ``point_mass(shape)``: the cell count over
+    prod_a P(d_a + 1), the smallest power-of-two box that holds a cell and
+    the origin, with d_a the circular distance along axis a and P(m) the
+    least power of two >= m."""
+    out = np.full(shape, float(np.prod(shape)))
+    for a, n in enumerate(shape):
+        dist = np.minimum(np.arange(n), n - np.arange(n))
+        out /= (2 ** np.ceil(np.log2(dist + 1.0))).reshape((n,) + (1,) * (len(shape) - 1 - a))
+    return out
+
+
+class TestStrongOnTd:
+    """``strong`` on two and three axes: a brute-force box sweep and the
+    closed form of the point mass."""
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (8, 4, 8), (2, 8, 4)])
+    def test_equals_box_sweep(self, shape):
+        vals = np.random.default_rng(sum(shape)).lognormal(sigma=2.0, size=shape)
+        want = pow2_box_sweep(vals)
+        assert np.abs(_strong(vals, 3) - want).max() <= 1e-12 * want.max()
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 16), (32, 64)])
+    def test_point_mass_closed_form(self, shape):
+        vals = point_mass(shape)
+        assert np.array_equal(_strong(vals, len(shape)), strong_point_mass(shape))
+        if min(shape) >= 16:
+            f = GridFunction(tuple(n.bit_length() - 1 for n in shape), vals)
+            assert np.array_equal(maximal(f, "strong").values, strong_point_mass(shape))
+
+    def test_directional_along_each_axis(self):
+        vals = np.random.default_rng(6).lognormal(sigma=2.0, size=(16, 32, 16))
+        f = GridFunction((4, 5, 4), vals)
+        for axis in range(3):
+            want = np.moveaxis(_hl_axis(np.moveaxis(vals, axis, -1)), -1, axis)
+            assert np.array_equal(maximal(f, "directional", axis=axis).values, want)
+
+    def test_directional_rejects_an_axis_outside_the_grid(self):
+        f2d = GridFunction((4, 5), np.ones((16, 32)))
+        for axis in (2, 7, -1, -2):
+            with pytest.raises(ValueError, match=f"axis {axis} "):
+                maximal(f2d, "directional", axis=axis)
+        with pytest.raises(ValueError, match="axis 3 "):
+            maximal(GridFunction((4, 4, 4), np.ones((16, 16, 16))), "directional", axis=3)
 
 
 def dominated(vals, rng):
@@ -674,6 +743,23 @@ class TestBatchedMaximal:
             maximal([f8, f9], "hl")
         with pytest.raises(ValueError, match="1D"):
             maximal([f2d, f2d], "dyadic")
-        for kind in ("strong", "directional"):
-            with pytest.raises(ValueError, match="list"):
-                maximal([f2d], kind)
+        with pytest.raises(ValueError, match="2 or more"):
+            maximal([f8, f8], "strong")
+
+    @pytest.mark.parametrize("log_sizes", [(4, 5), (4, 4, 4)])
+    def test_multi_axis_lists_equal_one_call_per_member(self, log_sizes):
+        rng = np.random.default_rng(len(log_sizes))
+        shape = tuple(2**L for L in log_sizes)
+        funcs = []
+        for _ in range(3):
+            vals = rng.lognormal(sigma=2.0, size=shape) * rng.choice([-1.0, 1.0, 1j], shape)
+            vals.reshape(-1)[rng.integers(0, vals.size, size=2)] = [np.nan, np.inf]
+            funcs.append(GridFunction(log_sizes, vals))
+        calls = [("strong", 0)] + [("directional", a) for a in range(len(log_sizes))]
+        with np.errstate(invalid="ignore"):
+            for kind, axis in calls:
+                batch = maximal(funcs, kind, axis=axis)
+                assert isinstance(batch, list) and len(batch) == len(funcs)
+                for got, f in zip(batch, funcs):
+                    want = maximal(f, kind, axis=axis).values
+                    assert np.array_equal(got.values, want, equal_nan=True)
